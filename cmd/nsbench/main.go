@@ -29,6 +29,7 @@ import (
 
 	"neutronstar/internal/bench"
 	"neutronstar/internal/dataset"
+	"neutronstar/internal/engine"
 	"neutronstar/internal/experiments"
 	"neutronstar/internal/metrics"
 	"neutronstar/internal/nn"
@@ -43,7 +44,7 @@ func main() {
 		graphs    = flag.String("graphs", "", "comma-separated dataset subset (default: experiment-specific)")
 		quick     = flag.Bool("quick", false, "cut-down scale for a fast smoke run")
 		jsonOut   = flag.String("json", "", "write the perf-smoke BENCH.json document to this path and exit (ignores -exp)")
-		policy    = flag.String("policy", "", "with -json, add extra <policy>-wN runs to the pipeline (comma-separated: depcache, depcomm, hybrid, deptp, hybrid3, deprep, hybrid4)")
+		policy    = flag.String("policy", "", "with -json, add extra <policy>-wN runs to the pipeline (comma-separated: "+strings.Join(engine.ModeNames(), ", ")+")")
 		trace     = flag.String("trace", "", "write a Chrome trace of all experiment (or, with -json, bench) engines to this file")
 		critPath  = flag.String("critpath", "", "with -json, also write the per-run critical-path report to this path")
 		debugAddr = flag.String("debug-addr", "", "serve /metrics, /status, /healthz and pprof on this address (e.g. :8080)")

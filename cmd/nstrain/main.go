@@ -61,8 +61,7 @@ func main() {
 		lr        = flag.Float64("lr", 0.01, "learning rate")
 		seed      = flag.Uint64("seed", 1, "random seed")
 		opt       = flag.Bool("optimized", true, "enable ring/lock-free/overlap optimisations")
-		repBudget = flag.Int64("rep-budget", 0, "per-worker compressed replica byte budget for deprep/hybrid4 (0 = unlimited)")
-		repQuant  = flag.String("rep-quant", "off", "replica feature storage for deprep/hybrid4: off, fp16, int8")
+		quant     = flag.String("cache-quant", "off", "storage of cached feature rows: off, fp16, int8")
 		pool      = flag.Bool("pool", defaultPool(), "recycle tensor memory across epochs (default also settable via NS_POOL=0/1)")
 		ckptDir   = flag.String("ckpt-dir", "", "checkpoint directory (empty disables checkpointing)")
 		ckptEvery = flag.Int("ckpt-every", 5, "checkpoint cadence in epochs")
@@ -111,16 +110,15 @@ func main() {
 		Network: neutronstar.NetworkKind(*network),
 		Layers:  *layers,
 		Ring:    *opt, LockFree: *opt, Overlap: *opt,
-		Pool:           *pool,
-		LR:             *lr,
-		Seed:           *seed,
-		RepBudgetBytes: *repBudget,
-		RepQuant:       *repQuant,
-		CkptDir:        *ckptDir,
-		CkptEvery:      *ckptEvery,
-		FaultSpec:      *faultSpec,
-		CritPath:       *critPath,
-		WatchRules:     *watchSpec,
+		Pool:       *pool,
+		LR:         *lr,
+		Seed:       *seed,
+		CacheQuant: *quant,
+		CkptDir:    *ckptDir,
+		CkptEvery:  *ckptEvery,
+		FaultSpec:  *faultSpec,
+		CritPath:   *critPath,
+		WatchRules: *watchSpec,
 		// The debug server's /status busy fractions need the collector too.
 		Metrics: *trace != "" || *debugAddr != "",
 	})
@@ -176,10 +174,8 @@ func main() {
 			"cached", cached[l], "communicated", communicated[l])
 	}
 	log.Info("planning done", "replica_kb", float64(s.CacheBytes())/1024,
+		"replication_factor", s.ReplicationFactor(), "cache_quant", *quant,
 		"planning_ms", s.PreprocessMillis())
-	if rf := s.ReplicationFactor(); rf > 1 {
-		log.Info("replication pass", "factor", rf, "quant", *repQuant)
-	}
 
 	for i := startEpoch; i < *epochs; i++ {
 		ep := s.TrainEpoch()

@@ -33,13 +33,14 @@ import (
 // nsload: QPS, latency percentiles, cache effectiveness) and allowed
 // serving-only documents with no training runs.
 //
-// v5 added the replication flip counters ResidualSummary.FlipsToRep /
-// FlipsFromRep (counterfactual moves into and out of the replicated policy
-// under the 4-way planner).
+// v5 added replication flip counters for a replicated policy that turned out
+// to plan exactly like DepCache.
+//
+// v6 removed those counters (flips_to_rep / flips_from_rep) with the policy.
 //
 // Older tools reject newer documents (the version check is exact), so the
 // committed baseline must be regenerated on a bump.
-const SchemaVersion = 5
+const SchemaVersion = 6
 
 // Host records where the document was produced. Comparisons across different
 // hosts are informational, not regressions.
@@ -105,15 +106,11 @@ type ResidualSummary struct {
 	// Counterfactual plan diff: decisions that flip when the planner runs
 	// under the fitted factors instead of the probed ones. The per-dependency
 	// counters cover cache↔comm moves; the per-layer counters cover moves
-	// into and out of tensor parallelism under the 3-way planner and moves
-	// into and out of replication under the 4-way planner (the rep counters
-	// are new in schema v5 — absent on documents from older binaries).
+	// into and out of tensor parallelism under the 3-way planner.
 	FlipsCacheToComm int `json:"flips_cache_to_comm"`
 	FlipsCommToCache int `json:"flips_comm_to_cache"`
 	FlipsToTP        int `json:"flips_to_tp,omitempty"`
 	FlipsFromTP      int `json:"flips_from_tp,omitempty"`
-	FlipsToRep       int `json:"flips_to_rep,omitempty"`
-	FlipsFromRep     int `json:"flips_from_rep,omitempty"`
 	Slots            int `json:"slots"`
 }
 

@@ -19,7 +19,7 @@ var update = flag.Bool("update", false, "rewrite golden files")
 // optional residual block, the optional pool summary (present on the pooled
 // run, absent on the unpooled one), the v3 causal fields (straggler index,
 // barrier share and a critical path on the multi-worker run; absent on the
-// single-worker one), the v5 replication flip counters and a residual-free
+// single-worker one), the tensor-parallel flip counters and a residual-free
 // run. Host metadata is pinned so the golden bytes are host-independent.
 func goldenDoc() *Doc {
 	return &Doc{
@@ -52,8 +52,7 @@ func goldenDoc() *Doc {
 					Fitted:                FactorSet{Tv: 1.1e-8, Te: 2.2e-9, Tc: 6e-9},
 					MaxAbsComputeResidual: 0.08, MaxAbsCommResidual: 0.15,
 					FlipsCacheToComm: 3, FlipsCommToCache: 0,
-					FlipsToTP: 1, FlipsFromTP: 0,
-					FlipsToRep: 1, FlipsFromRep: 0, Slots: 420,
+					FlipsToTP: 1, FlipsFromTP: 0, Slots: 420,
 				},
 				StragglerIndex: 1.18, BarrierShare: 0.06,
 				CritPath: &obs.CritPath{

@@ -3,7 +3,9 @@ package bench
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
+	"strings"
 
 	"neutronstar/internal/dataset"
 	"neutronstar/internal/engine"
@@ -24,9 +26,6 @@ type RunSpec struct {
 	// Pool enables the tensor pool for the run; the emitted Run then carries
 	// a PoolSummary alongside the allocator deltas.
 	Pool bool
-	// RepBudget is the per-worker compressed replica byte budget for
-	// deprep/hybrid4 runs (0 is mapped to unlimited by the engine).
-	RepBudget int64
 	// Collector, when non-nil, attaches the utilisation collector to the
 	// run's engine so nsbench -json can emit a Chrome trace (with the causal
 	// flow arrows) alongside the document.
@@ -70,13 +69,10 @@ func DefaultRuns(workers int) []RunSpec {
 // -policy flag), matching the DefaultRuns epoch/pool shape so its rows are
 // comparable against the defaults.
 func PolicyRun(policy string, workers int) (RunSpec, error) {
-	mode := engine.Mode(policy)
-	switch mode {
-	case engine.DepCache, engine.DepComm, engine.Hybrid, engine.DepTP,
-		engine.Hybrid3, engine.DepRep, engine.Hybrid4:
-	default:
-		return RunSpec{}, fmt.Errorf("bench: unknown policy %q", policy)
+	if !slices.Contains(engine.ModeNames(), policy) {
+		return RunSpec{}, fmt.Errorf("bench: unknown policy %q (valid: %s)", policy, strings.Join(engine.ModeNames(), ", "))
 	}
+	mode := engine.Mode(policy)
 	return RunSpec{
 		Name: fmt.Sprintf("%s-w%d", policy, workers), Mode: mode,
 		Workers: workers, Warmup: 1, Epochs: 5, Pool: true,
@@ -133,7 +129,6 @@ func ExecuteRun(ds *dataset.Dataset, spec RunSpec) (*Run, error) {
 		Overlap:   true,
 		Seed:      1,
 		Pool:      pool,
-		RepBudget: spec.RepBudget,
 		Recorder:  rec,
 		Collector: spec.Collector,
 	})
@@ -259,8 +254,6 @@ func summarize(eng *engine.Engine, spec RunSpec, recs []obs.EpochRecord, finalLo
 			FlipsCommToCache: cr.Flips.CommToCache,
 			FlipsToTP:        cr.Flips.ToTP,
 			FlipsFromTP:      cr.Flips.FromTP,
-			FlipsToRep:       cr.Flips.ToRep,
-			FlipsFromRep:     cr.Flips.FromRep,
 			Slots:            cr.Flips.Slots,
 		}
 		for _, lr := range cr.Layers {

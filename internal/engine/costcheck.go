@@ -5,7 +5,6 @@ import (
 	"neutronstar/internal/hybrid"
 	"neutronstar/internal/nn"
 	"neutronstar/internal/obs"
-	"neutronstar/internal/partition"
 )
 
 // Cost-model validation: the planner decided the DepCache/DepComm split from
@@ -212,26 +211,19 @@ func (e *Engine) CostReportFrom(recs []obs.EpochRecord) *CostReport {
 // the engine's actual mode.
 func (e *Engine) counterfactualFlips(fitted costmodel.Costs) hybrid.FlipReport {
 	// Engines planned with the 3-way family re-plan 3-way, so the
-	// counterfactual can also report flips into or out of tensor parallelism;
-	// the 4-way family likewise re-plans 4-way to expose replication flips.
+	// counterfactual can also report flips into or out of tensor parallelism.
 	mode := hybrid.ModeHybrid
 	if e.opts.Mode == DepTP || e.opts.Mode == Hybrid3 {
 		mode = hybrid.ModeHybrid3
 	}
-	if e.opts.Mode == DepRep || e.opts.Mode == Hybrid4 {
-		mode = hybrid.ModeHybrid4
-	}
 	sliceTP := nn.SliceSeparable(e.opts.Model)
-	repComp := partition.CompressionFactor(e.repQuant)
 	base := &hybrid.Planner{
 		Graph: e.ds.Graph, Part: e.part, Dims: e.dims,
 		Costs: e.costs, MemBudget: e.opts.MemBudget, SliceTP: sliceTP,
-		RepBudget: e.opts.RepBudget, RepCompression: repComp,
 	}
 	alt := &hybrid.Planner{
 		Graph: e.ds.Graph, Part: e.part, Dims: e.dims,
 		Costs: fitted, MemBudget: e.opts.MemBudget, SliceTP: sliceTP,
-		RepBudget: e.opts.RepBudget, RepCompression: repComp,
 	}
 	planA, errA := base.DecideAll(mode)
 	planB, errB := alt.DecideAll(mode)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -39,16 +40,6 @@ const (
 	// cache/comm split competes against tensor-parallel suffixes on modeled
 	// cost.
 	Hybrid3 Mode = "hybrid3"
-	// DepRep replicates every layer's remote dependencies as local vertex
-	// copies (CoFree-GNN's vertex cut): after a one-time replica feature
-	// broadcast, each worker computes all layers entirely locally and the
-	// replica gradients reconcile through the parameter all-reduce at the
-	// epoch barrier — zero per-layer dependency traffic. Replica features may
-	// be stored (re)quantized (Options.RepQuant).
-	DepRep Mode = "deprep"
-	// Hybrid4 widens the planner once more: replicated layer suffixes compete
-	// against the hybrid3 family on modeled cost, gated by Options.RepBudget.
-	Hybrid4 Mode = "hybrid4"
 )
 
 // ModeNames lists every engine mode string, in declaration order — the
@@ -57,7 +48,7 @@ const (
 func ModeNames() []string {
 	return []string{
 		string(DepCache), string(DepComm), string(Hybrid),
-		string(DepTP), string(Hybrid3), string(DepRep), string(Hybrid4),
+		string(DepTP), string(Hybrid3),
 	}
 }
 
@@ -65,7 +56,7 @@ func ModeNames() []string {
 type Options struct {
 	// Workers is the simulated cluster size m.
 	Workers int
-	// Mode selects DepCache, DepComm or Hybrid.
+	// Mode selects the policy or planner (ModeNames lists them all).
 	Mode Mode
 	// Model selects the GNN architecture; Hidden overrides the dataset's
 	// default hidden dimension when > 0; Layers sets the propagation depth L
@@ -112,18 +103,12 @@ type Options struct {
 	Seed uint64
 	// MemBudget caps per-worker replica bytes for Hybrid (0 = unlimited).
 	MemBudget int64
-	// RepBudget caps per-worker (compressed) replica bytes for Hybrid4's
-	// replicated candidates: > 0 is a cap, < 0 unlimited. 0 (unset) defaults
-	// to unlimited — use Hybrid3 to exclude replication outright; the
-	// planner-level 0-disables semantics is reachable through
-	// hybrid.Planner.RepBudget directly.
-	RepBudget int64
-	// RepQuant selects the replica feature storage format for DepRep/Hybrid4
-	// plans with replicated layers: off (default, exact), fp16, or int8
-	// (partition.RepQuant). Owners keep full precision; only replica rows
-	// round-trip through the format, bounding the deviation from the exact
-	// run by partition.RequantizeErrorBound.
-	RepQuant partition.RepQuant
+	// CacheQuant selects the storage format of cached layer-0 feature rows:
+	// off (default, exact), fp16, or int8 (partition.RepQuant). It applies to
+	// every plan that caches dependencies. Owners keep full precision; only
+	// the cached rows round-trip through the format, which bounds the
+	// deviation from the exact run by partition.RequantizeErrorBound.
+	CacheQuant partition.RepQuant
 	// Costs overrides probed environment factors when non-zero; the Fig 11
 	// sweep uses this together with ForceRatio.
 	Costs costmodel.Costs
@@ -175,9 +160,6 @@ func (o Options) withDefaults() Options {
 	if o.LR == 0 {
 		o.LR = 0.01
 	}
-	if o.RepBudget == 0 {
-		o.RepBudget = -1
-	}
 	return o
 }
 
@@ -207,12 +189,8 @@ type Engine struct {
 	// costs are the probed (or forced) environment factors the planner used;
 	// the cost-model validator compares them against measured ones.
 	costs costmodel.Costs
-	// repQuant is the validated replica feature storage format (off when the
-	// plan has no replicated layers or quantization is disabled).
-	repQuant partition.RepQuant
-	// replicas is the vertex-cut replication pass's output for DepRep engines
-	// (nil otherwise); NewEngine cross-checks it against the execution plans.
-	replicas *partition.ReplicaPlan
+	// cacheQuant is the validated storage format of cached feature rows.
+	cacheQuant partition.RepQuant
 	// tpFeatAll is the full-width feature matrix in owner-block row order,
 	// shared by all workers when layer 1 runs the assemble TP dataflow.
 	tpFeatAll *tensor.Tensor
@@ -261,7 +239,7 @@ func NewEngine(ds *dataset.Dataset, opts Options) (*Engine, error) {
 	if costs == (costmodel.Costs{}) {
 		costs = probeCached(opts.Profile)
 	}
-	repQuant, err := partition.ParseRepQuant(string(opts.RepQuant))
+	cacheQuant, err := partition.ParseRepQuant(string(opts.CacheQuant))
 	if err != nil {
 		return nil, err
 	}
@@ -269,7 +247,6 @@ func NewEngine(ds *dataset.Dataset, opts Options) (*Engine, error) {
 	planner := &hybrid.Planner{
 		Graph: ds.Graph, Part: part, Dims: dims,
 		Costs: costs, MemBudget: opts.MemBudget, Ratio: opts.CacheRatio,
-		RepBudget: opts.RepBudget, RepCompression: partition.CompressionFactor(repQuant),
 		SliceTP: sliceTP,
 	}
 	var mode hybrid.Mode
@@ -282,10 +259,6 @@ func NewEngine(ds *dataset.Dataset, opts Options) (*Engine, error) {
 		mode = hybrid.ModeAllTP
 	case Hybrid3:
 		mode = hybrid.ModeHybrid3
-	case DepRep:
-		mode = hybrid.ModeAllRep
-	case Hybrid4:
-		mode = hybrid.ModeHybrid4
 	case Hybrid:
 		if opts.ForceRatio {
 			mode = hybrid.ModeRatio
@@ -293,7 +266,7 @@ func NewEngine(ds *dataset.Dataset, opts Options) (*Engine, error) {
 			mode = hybrid.ModeHybrid
 		}
 	default:
-		return nil, fmt.Errorf("engine: unknown mode %q", opts.Mode)
+		return nil, fmt.Errorf("engine: unknown mode %q (valid: %s)", opts.Mode, strings.Join(ModeNames(), ", "))
 	}
 	start := time.Now()
 	decs, err := planner.DecideAll(mode)
@@ -305,24 +278,6 @@ func NewEngine(ds *dataset.Dataset, opts Options) (*Engine, error) {
 	plans, err := buildPlans(ds.Graph, part, decs, dims, sliceTP)
 	if err != nil {
 		return nil, err
-	}
-
-	// The replication pass in internal/partition is the authoritative
-	// statement of what a communication-free execution must hold locally;
-	// under DepRep the plan expansion must materialize exactly those sets, so
-	// a disagreement means one of the two closures is wrong — fail loudly
-	// rather than train against a silently incomplete replica store.
-	var replicas *partition.ReplicaPlan
-	if opts.Mode == DepRep {
-		replicas = partition.BuildReplicas(ds.Graph, part, len(dims)-1)
-		for i, p := range plans {
-			for k := range p.cachedCompute {
-				if !equalVerts(p.cachedCompute[k], replicas.Sets[i][k]) {
-					return nil, fmt.Errorf("engine: worker %d level %d: replication pass (%d replicas) and execution plan (%d) disagree",
-						i, k, len(replicas.Sets[i][k]), len(p.cachedCompute[k]))
-				}
-			}
-		}
 	}
 
 	var fabric comm.Network
@@ -346,8 +301,7 @@ func NewEngine(ds *dataset.Dataset, opts Options) (*Engine, error) {
 		opts: opts, ds: ds, part: part, decs: decs, plans: plans, dims: dims,
 		fabric:         fabric,
 		costs:          costs,
-		repQuant:       repQuant,
-		replicas:       replicas,
+		cacheQuant:     cacheQuant,
 		PreprocessTime: preprocess,
 	}
 	// Assemble-dataflow TP at layer 1 reads the full-width feature matrix in
@@ -414,27 +368,19 @@ func (e *Engine) CacheBytes() int64 {
 	return b
 }
 
-// ReplicationFactor returns the vertex replication factor of a DepRep engine
-// ((|V| + feature replicas)/|V|, from the partition-level replication pass)
-// or 1 for every other mode.
+// ReplicationFactor returns the vertex replication factor of the plan:
+// (|V| + cached feature rows)/|V|, counting every worker's level-0 cached
+// rows. 1 means nothing is cached (DepComm, DepTP or a single worker).
 func (e *Engine) ReplicationFactor() float64 {
-	if e.replicas == nil {
+	n := e.ds.NumVertices()
+	if n == 0 {
 		return 1
 	}
-	return e.replicas.Factor()
-}
-
-// equalVerts reports whether two ascending vertex lists are identical.
-func equalVerts(a, b []int32) bool {
-	if len(a) != len(b) {
-		return false
+	rows := 0
+	for _, p := range e.plans {
+		rows += len(p.cachedComputeAt(0))
 	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+	return float64(n+rows) / float64(n)
 }
 
 // Close releases the fabric. The engine must not be used afterwards.

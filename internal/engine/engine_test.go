@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"neutronstar/internal/comm"
@@ -306,8 +307,18 @@ func TestEpochStatsPopulated(t *testing.T) {
 
 func TestUnknownModeRejected(t *testing.T) {
 	ds := testDataset(t, 50, 3, 32)
-	if _, err := NewEngine(ds, Options{Workers: 2, Mode: "bogus"}); err == nil {
-		t.Fatal("expected error")
+	// The error names every accepted mode, so a retired name such as deprep
+	// points the caller at the current ones.
+	for _, mode := range []Mode{"bogus", "deprep", "hybrid4"} {
+		_, err := NewEngine(ds, Options{Workers: 2, Mode: mode, Costs: pinnedCosts})
+		if err == nil {
+			t.Fatalf("%s: expected error", mode)
+		}
+		for _, valid := range ModeNames() {
+			if !strings.Contains(err.Error(), valid) {
+				t.Fatalf("%s: error %q does not list valid mode %q", mode, err, valid)
+			}
+		}
 	}
 }
 

@@ -86,13 +86,12 @@ func newWorkerState(id int, e *Engine, model *nn.Model) *workerState {
 	for r, v := range cached0 {
 		copy(ws.feat.Row(len(plan.owned)+r), ds.Features.Row(int(v)))
 	}
-	// Replicated plans may store replica features (re)quantized (CoFree-GNN's
-	// requantized vertex copies): round-trip only the replica rows through the
-	// storage format. Owners keep full precision, and every worker replicating
-	// the same vertex round-trips the same source row identically, so the runs
-	// stay deterministic and the deviation from the exact run is bounded by
-	// partition.RequantizeErrorBound.
-	if q := e.repQuant; q != partition.RepQuantOff && e.decs[id].NumRep() > 0 {
+	// Cached feature rows may be stored quantized: round-trip only those rows
+	// through the storage format. Owners keep full precision, and every
+	// worker caching the same vertex round-trips the same source row
+	// identically, so runs stay deterministic and the deviation from the
+	// exact run is bounded by partition.RequantizeErrorBound.
+	if q := e.cacheQuant; q != partition.RepQuantOff {
 		for r := range cached0 {
 			partition.Requantize(q, ws.feat.Row(len(plan.owned)+r))
 		}

@@ -15,19 +15,14 @@ type FlipReport struct {
 	// change subsumes them.
 	ToTP   int `json:"to_tp"`
 	FromTP int `json:"from_tp"`
-	// ToRep / FromRep count (worker, layer) slots that flipped into / out of
-	// replication between A and B. Like TP, a replication flip subsumes the
-	// layer's per-dependency slots (a replicated layer caches everything).
-	ToRep   int `json:"to_rep"`
-	FromRep int `json:"from_rep"`
 	// Slots is the number of comparable (worker, layer, dependency) slots.
 	Slots int `json:"slots"`
 }
 
 // Flips returns the total number of flipped decisions: per-dependency
-// cache/comm moves plus per-layer tensor-parallel and replication moves.
+// cache/comm moves plus per-layer tensor-parallel moves.
 func (f FlipReport) Flips() int {
-	return f.CacheToComm + f.CommToCache + f.ToTP + f.FromTP + f.ToRep + f.FromRep
+	return f.CacheToComm + f.CommToCache + f.ToTP + f.FromTP
 }
 
 // DiffDecisions compares two plans over the same cluster shape. Workers and
@@ -55,18 +50,6 @@ func DiffDecisions(a, b []*Decision) FlipReport {
 					rep.FromTP++
 				}
 				continue // TP layers have no per-dependency slots to compare
-			}
-			aRep, bRep := a[w].RepAt(l+1), b[w].RepAt(l+1)
-			if aRep || bRep {
-				if !aRep && bRep {
-					rep.ToRep++
-				}
-				if aRep && !bRep {
-					rep.FromRep++
-				}
-				// Replicated layers cache the full dependency set on both
-				// sides; there is no per-dependency decision left to compare.
-				continue
 			}
 			inA := make(map[int32]bool, len(a[w].R[l])+len(a[w].C[l]))
 			for _, u := range a[w].R[l] {

@@ -61,36 +61,3 @@ func TestDiffDecisionsEmpty(t *testing.T) {
 		t.Fatalf("nil diff = %+v", rep)
 	}
 }
-
-func TestDiffDecisionsCountsRepFlips(t *testing.T) {
-	// Two layers: layer 1 flips into replication (a splits, b replicates);
-	// layer 2 flips out of it. A replicated layer's per-dependency slots are
-	// subsumed by the policy flip, so only flipless layers would add slots.
-	a := []*Decision{dec([]int32{1}, []int32{2}, []int32{1, 2}, []int32{})}
-	b := []*Decision{dec([]int32{1, 2}, []int32{}, []int32{1}, []int32{2})}
-	a[0].Rep = []bool{false, true}
-	b[0].Rep = []bool{true, false}
-	rep := DiffDecisions(a, b)
-	if rep.ToRep != 1 || rep.FromRep != 1 {
-		t.Fatalf("rep flips = %+v, want 1 each way", rep)
-	}
-	if rep.Slots != 0 {
-		t.Fatalf("slots = %d, want 0 (both layers subsumed by rep flips)", rep.Slots)
-	}
-	if rep.Flips() != 2 {
-		t.Fatalf("Flips() = %d, want 2", rep.Flips())
-	}
-}
-
-func TestDiffDecisionsTPFlipSubsumesRepFlip(t *testing.T) {
-	// When one side goes TP and the other replicated, the TP check runs first
-	// and counts the layer once; the rep counters stay untouched.
-	a := []*Decision{dec([]int32{1, 2}, []int32{})}
-	b := []*Decision{dec([]int32{}, []int32{})}
-	a[0].Rep = []bool{true}
-	b[0].TP = []bool{true}
-	rep := DiffDecisions(a, b)
-	if rep.ToTP != 1 || rep.ToRep != 0 || rep.FromRep != 0 {
-		t.Fatalf("flips = %+v, want exactly one ToTP", rep)
-	}
-}

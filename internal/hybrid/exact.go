@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-
-	"neutronstar/internal/costmodel"
 )
 
 // The paper observes (§3) that minimising Eq. 3 is NP-hard — it reduces to
@@ -37,14 +35,6 @@ func (p *Planner) evaluateCostSplit(worker int, d *Decision) (cacheCost, commCos
 	isOwned := func(v int32) bool { return owner[v] == int32(worker) }
 	req := p.replicaLevels(worker, d)
 
-	// Replicated plans store their replica feature/activation rows compressed
-	// by the quantization factor; plans without replicated layers price at
-	// full float32 width (compression 1), byte-identical to the 3-way model.
-	compression := 1.0
-	if d.NumRep() > 0 && p.RepCompression > 1 {
-		compression = p.RepCompression
-	}
-
 	// Iterate replicas in sorted vertex order: map-range order would make the
 	// float sum — and with it the candidate argmin on near-ties — depend on
 	// the run, and the planner must be deterministic.
@@ -59,7 +49,12 @@ func (p *Planner) evaluateCostSplit(worker int, d *Decision) (cacheCost, commCos
 		for j := 1; j <= k; j++ {
 			cacheCost += (p.Costs.Tv + deg*p.Costs.Te) * float64(p.Dims[j])
 		}
-		bytes += costmodel.RepReplicaBytes(p.Dims, k, p.Graph.InDegree(w), compression)
+		// Storage: one float32 row per held level 0..k plus 8 bytes per
+		// in-edge for the replica's edge index slots.
+		for j := 0; j <= k; j++ {
+			bytes += int64(4 * p.Dims[j])
+		}
+		bytes += int64(8 * p.Graph.InDegree(w))
 	}
 	for l := 1; l <= L; l++ {
 		if d.TPAt(l) {
@@ -115,16 +110,6 @@ func (p *Planner) replicaLevels(worker int, d *Decision) map[int32]int {
 		}
 	}
 	return req
-}
-
-// repSetupCost prices the worker's one-time replica feature broadcast under
-// the configured compression — reported on the Decision, excluded from the
-// per-epoch argmin.
-func (p *Planner) repSetupCost(worker int, d *Decision) float64 {
-	if d.NumRep() == 0 {
-		return 0
-	}
-	return p.Costs.RepSetupCost(len(p.replicaLevels(worker, d)), p.Dims[0], p.RepCompression)
 }
 
 // ExactDecision enumerates every per-layer cache/communicate assignment for

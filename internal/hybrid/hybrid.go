@@ -41,24 +41,13 @@ type Decision struct {
 	// choice, identical across all workers' Decisions. Decisions from the
 	// 2-way modes may carry a nil TP (all false).
 	TP []bool
-	// Rep[l-1] marks layer l as replicated (DepRep): every remote dependency
-	// is cached (R[l-1] holds the full dependency set) and the planner prices
-	// the replica storage with the quantization compression factor instead of
-	// at full float32 width. Like TP, Rep is a cluster-level per-layer choice;
-	// decisions from older modes may carry a nil Rep (all false).
-	Rep []bool
-	// CacheBytes estimates the replica storage the cached sets require
-	// (compressed by Planner.RepCompression when any layer is replicated).
+	// CacheBytes estimates the replica storage the cached sets require, at
+	// float32 width.
 	CacheBytes int64
 	// EstCacheCost / EstCommCost are the modeled per-epoch costs (seconds)
 	// of the chosen split, for reporting. Slice-exchange collective cost
 	// counts as communication.
 	EstCacheCost, EstCommCost float64
-	// EstSetupCost is the one-time replica feature broadcast cost of a
-	// replicated plan (costmodel.RepSetupCost) — reported, never part of the
-	// per-epoch argmin, mirroring how the 2-way modes treat the layer-1
-	// feature fetch. Zero for plans without replicated layers.
-	EstSetupCost float64
 }
 
 // TPAt reports whether layer l (1-based) is tensor-parallel under this
@@ -78,22 +67,11 @@ func (d *Decision) NumTP() int {
 	return n
 }
 
-// RepAt reports whether layer l (1-based) is replicated under this decision.
-// Safe on decisions from older modes (nil Rep).
-func (d *Decision) RepAt(l int) bool {
-	return d.Rep != nil && l-1 < len(d.Rep) && d.Rep[l-1]
-}
-
-// NumRep returns the number of replicated layers.
-func (d *Decision) NumRep() int {
-	n := 0
-	for _, r := range d.Rep {
-		if r {
-			n++
-		}
-	}
-	return n
-}
+// RepAt always reports false. There is no replicated policy: a fully
+// replicated layer caches every dependency, which is exactly DepCache. The
+// method stays because the benchmark's plan fingerprint (perfbench/train.go)
+// hashes it, and the benchmark sources are frozen by its contract.
+func (d *Decision) RepAt(l int) bool { return false }
 
 // NumCached returns the total cached dependencies across layers.
 func (d *Decision) NumCached() int {
@@ -133,14 +111,6 @@ const (
 	// tensor-parallel layer suffixes all compete on modeled cost (see
 	// decideThreeWay).
 	ModeHybrid3
-	// ModeAllRep replicates every layer (the pure DepRep engine): R holds the
-	// full dependency set at every layer, replica storage is priced with the
-	// compression factor, and no per-epoch dependency traffic remains.
-	ModeAllRep
-	// ModeHybrid4 widens the candidate family once more: everything
-	// ModeHybrid3 considers plus replicated layer suffixes, gated by
-	// RepBudget (see decideFourWay).
-	ModeHybrid4
 )
 
 // Planner derives per-worker Decisions.
@@ -152,16 +122,6 @@ type Planner struct {
 	Costs costmodel.Costs
 	// MemBudget caps CacheBytes per worker; 0 means unlimited.
 	MemBudget int64
-	// RepBudget caps a replicated candidate's (compressed) replica bytes per
-	// worker in ModeHybrid4: > 0 is a cap, 0 removes replicated candidates
-	// entirely (hybrid4 then degenerates to hybrid3), < 0 is unlimited.
-	// ModeAllRep ignores it — an explicitly requested pure policy is not a
-	// candidate competition.
-	RepBudget int64
-	// RepCompression is the replica storage compression factor of the
-	// configured quantization (partition.CompressionFactor); values < 1 are
-	// treated as 1 (uncompressed).
-	RepCompression float64
 	// Ratio is the cached fraction for ModeRatio, in [0, 1].
 	Ratio float64
 	// SliceTP reports that the model's aggregation is column-wise separable
@@ -184,11 +144,6 @@ func (p *Planner) DecideAll(mode Mode) ([]*Decision, error) {
 		// The tensor-parallel choice is cluster-global (all workers must
 		// agree per layer), so the 3-way planner cannot decide per worker.
 		return p.decideThreeWay()
-	}
-	if mode == ModeHybrid4 {
-		// Replication is cluster-global like TP: same candidate argmin, one
-		// more suffix family.
-		return p.decideFourWay()
 	}
 	out := make([]*Decision, p.Part.NumParts)
 	errs := make([]error, p.Part.NumParts)
@@ -232,37 +187,23 @@ func (p *Planner) dependencies(i int) []int32 {
 func (p *Planner) decideWorker(i int, mode Mode) (*Decision, error) {
 	deps := p.dependencies(i)
 	L := p.numLayers()
-	d := &Decision{R: make([][]int32, L), C: make([][]int32, L), TP: make([]bool, L), Rep: make([]bool, L)}
+	d := &Decision{R: make([][]int32, L), C: make([][]int32, L), TP: make([]bool, L)}
 	switch mode {
-	case ModeAllRep:
-		for l := 0; l < L; l++ {
-			d.R[l] = deps
-			d.Rep[l] = true
-		}
-		cacheCost, commCost, bytes := p.evaluateCostSplit(i, d)
-		d.CacheBytes = bytes
-		d.EstCacheCost, d.EstCommCost = cacheCost, commCost
-		d.EstSetupCost = p.repSetupCost(i, d)
-		return d, nil
 	case ModeAllTP:
 		for l := 1; l <= L; l++ {
 			d.TP[l-1] = true
 			d.EstCommCost += p.tpLayerCost(i, l)
 		}
 		return d, nil
-	case ModeAllCache:
+	case ModeAllCache, ModeAllComm:
 		for l := 0; l < L; l++ {
-			d.R[l] = deps
-			d.C[l] = nil
+			if mode == ModeAllCache {
+				d.R[l] = deps
+			} else {
+				d.C[l] = deps
+			}
 		}
-		p.estimate(i, deps, d)
-		return d, nil
-	case ModeAllComm:
-		for l := 0; l < L; l++ {
-			d.C[l] = deps
-			d.R[l] = nil
-		}
-		p.estimate(i, deps, d)
+		d.EstCacheCost, d.EstCommCost, d.CacheBytes = p.evaluateCostSplit(i, d)
 		return d, nil
 	case ModeHybrid:
 		p.greedy(i, deps, d, -1)
@@ -440,31 +381,6 @@ func (p *Planner) greedy(worker int, deps []int32, d *Decision, ratio float64) {
 				d.EstCommCost += float64(len(deps)) * p.Costs.CommCost(p.Dims[k])
 			}
 			return
-		}
-	}
-}
-
-// estimate fills the modeled costs for the fixed all-cache / all-comm modes.
-func (p *Planner) estimate(worker int, deps []int32, d *Decision) {
-	counter := costmodel.NewSubtreeCounter(p.Graph)
-	owner := p.Part.Assign
-	isLocal := func(v int32) bool { return owner[v] == int32(worker) }
-	L := p.numLayers()
-	for l := 1; l <= L; l++ {
-		for _, u := range d.C[l-1] {
-			_ = u
-			d.EstCommCost += p.Costs.CommCost(p.Dims[l-1])
-		}
-		for _, u := range d.R[l-1] {
-			if l == 1 {
-				continue
-			}
-			verts, edges := counter.Count(u, l-1, isLocal)
-			dims := make([]int, l-1)
-			for k := range dims {
-				dims[k] = p.Dims[l-1-k]
-			}
-			d.EstCacheCost += p.Costs.SubtreeCost(verts, edges, dims)
 		}
 	}
 }

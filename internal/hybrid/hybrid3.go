@@ -1,6 +1,8 @@
 package hybrid
 
 import (
+	"fmt"
+
 	"neutronstar/internal/costmodel"
 )
 
@@ -59,7 +61,7 @@ func (p *Planner) tpSuffix(base []*Decision, t int) []*Decision {
 	L := p.numLayers()
 	out := make([]*Decision, len(base))
 	for w, b := range base {
-		d := &Decision{R: make([][]int32, L), C: make([][]int32, L), TP: make([]bool, L), Rep: make([]bool, L)}
+		d := &Decision{R: make([][]int32, L), C: make([][]int32, L), TP: make([]bool, L)}
 		for l := 1; l < t; l++ {
 			d.R[l-1] = b.R[l-1]
 			d.C[l-1] = b.C[l-1]
@@ -78,5 +80,51 @@ func (p *Planner) tpSuffix(base []*Decision, t int) []*Decision {
 // cost, and the tie rule picks pure communication — empty sets, no TP: the
 // same degeneracy the 2-way modes exhibit.
 func (p *Planner) decideThreeWay() ([]*Decision, error) {
-	return p.decideSuffixFamily(false)
+	L := p.numLayers()
+	allComm, err := p.decideAllSeq(ModeAllComm)
+	if err != nil {
+		return nil, err
+	}
+	greedy, err := p.decideAllSeq(ModeHybrid)
+	if err != nil {
+		return nil, err
+	}
+	allCache, err := p.decideAllSeq(ModeAllCache)
+	if err != nil {
+		return nil, err
+	}
+	candidates := [][]*Decision{allComm, greedy, allCache}
+	for t := L; t >= 1; t-- {
+		candidates = append(candidates, p.tpSuffix(greedy, t))
+	}
+
+	best := -1
+	bestCost := 0.0
+	for ci, cand := range candidates {
+		total := 0.0
+		feasible := true
+		for w := range cand {
+			cost, bytes := p.EvaluateCost(w, cand[w])
+			if p.MemBudget > 0 && bytes > p.MemBudget {
+				feasible = false
+				break
+			}
+			total += cost
+		}
+		if !feasible {
+			continue
+		}
+		if best < 0 || total < bestCost {
+			best, bestCost = ci, total
+		}
+	}
+	if best < 0 {
+		// Unreachable: pure communication stores no replicas and always fits.
+		return nil, fmt.Errorf("hybrid: no feasible plan under budget %d", p.MemBudget)
+	}
+	chosen := candidates[best]
+	for w, d := range chosen {
+		d.EstCacheCost, d.EstCommCost, d.CacheBytes = p.evaluateCostSplit(w, d)
+	}
+	return chosen, nil
 }

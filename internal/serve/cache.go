@@ -58,8 +58,9 @@ func newEmbedCache(budget int64, reg *obs.Registry) *embedCache {
 	}
 }
 
-// generation returns the current generation, captured by extraction so a
-// job's later Put calls can be rejected if the parameters moved meanwhile.
+// generation returns the current generation, captured with the model
+// snapshot so a job's later Get and Put calls can be rejected if the
+// parameters moved meanwhile.
 func (c *embedCache) generation() uint64 {
 	if c == nil {
 		return 0
@@ -69,16 +70,18 @@ func (c *embedCache) generation() uint64 {
 	return c.gen
 }
 
-// Get returns the cached row for (layer, vert) or nil. The returned slice is
-// owned by the cache: callers copy out of it and never mutate it.
-func (c *embedCache) Get(layer int, vert int32) []float32 {
+// Get returns the cached row for (layer, vert) or nil. A caller whose
+// generation is stale misses: every resident row was computed under newer
+// parameters than the caller's model. The returned slice is owned by the
+// cache: callers copy out of it and never mutate it.
+func (c *embedCache) Get(layer int, vert int32, gen uint64) []float32 {
 	if c == nil {
 		return nil
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.idx[cacheKey{layer, vert}]
-	if !ok {
+	if !ok || gen != c.gen {
 		c.misses++
 		c.mMisses.Inc()
 		return nil

@@ -87,7 +87,7 @@ func (p *plan) seeds() []int32 { return p.blocks[len(p.blocks)-1].dsts }
 // feature rows the bottom layer needs. Pure graph-and-memory work — the
 // point of a separate extraction pool is that none of this contends with
 // the GEMMs in the compute pool.
-func (s *Server) extract(j *job, model *nn.Model, version uint64) (*assembled, error) {
+func (s *Server) extract(j *job, model *nn.Model, version, gen uint64) (*assembled, error) {
 	L := model.NumLayers()
 	var virt []InductiveVertex
 	var fanouts []int
@@ -122,7 +122,6 @@ func (s *Server) extract(j *job, model *nn.Model, version uint64) (*assembled, e
 	}
 	need := sortedKeys(seedSet)
 
-	gen := s.cache.generation()
 	blocks := make([]*block, L)
 	for l := L - 1; l >= 0; l-- {
 		b := &block{dsts: need}
@@ -169,7 +168,7 @@ func (s *Server) extract(j *job, model *nn.Model, version uint64) (*assembled, e
 			lookupStart := time.Now()
 			for i, v := range b.srcs {
 				if v < o.n {
-					if row := s.cache.Get(l, v); row != nil {
+					if row := s.cache.Get(l, v, gen); row != nil {
 						b.cached[i] = row
 						continue
 					}

@@ -381,14 +381,17 @@ func (s *Server) ModelVersion() uint64 {
 
 // refresh re-snapshots the model when the source's version moved, dropping
 // every cached embedding: answers computed after a parameter update must
-// never mix in pre-update rows.
-func (s *Server) refresh() (*nn.Model, uint64) {
+// never mix in pre-update rows. It returns the model, its version and the
+// cache generation, all read under s.mu: Invalidate only runs under the write
+// lock, so a job holding this triple can neither insert rows under a newer
+// generation nor read rows another model computed.
+func (s *Server) refresh() (*nn.Model, uint64, uint64) {
 	v := s.cfg.Source.Version()
 	s.mu.RLock()
 	if v == s.version {
-		m := s.model
+		m, gen := s.model, s.cache.generation()
 		s.mu.RUnlock()
-		return m, v
+		return m, v, gen
 	}
 	s.mu.RUnlock()
 	s.mu.Lock()
@@ -398,7 +401,7 @@ func (s *Server) refresh() (*nn.Model, uint64) {
 		s.version = v
 		s.cache.Invalidate()
 	}
-	return s.model, s.version
+	return s.model, s.version, s.cache.generation()
 }
 
 // Query answers one request, blocking until the pipeline completes it.
@@ -503,8 +506,8 @@ func (s *Server) extractLoop(idx int) {
 			sp = s.cfg.Tracer.Start(idx, obs.ClassNone, "extract",
 				obs.Int("items", len(j.items)), obs.String("trace_ids", traceIDs(j.items)))
 		}
-		model, version := s.refresh()
-		asm, err := s.extract(j, model, version)
+		model, version, gen := s.refresh()
+		asm, err := s.extract(j, model, version, gen)
 		end := time.Now()
 		if sp != nil {
 			sp.End()

@@ -112,6 +112,63 @@ func TestServeCacheParityAndInvalidation(t *testing.T) {
 	}
 }
 
+// TestServeStaleGenerationNeverCrosses replays the race between an
+// extraction job and a parameter update deterministically: a job that took
+// its (model, version, generation) triple before the update runs extract and
+// compute after the cache refilled under the new parameters. It must neither
+// read the new model's rows nor insert its own under the new generation, and
+// its answer must be the old model's.
+func TestServeStaleGenerationNeverCrosses(t *testing.T) {
+	ds := testDataset(t, 120, 13)
+	src := NewStatic(testModel(ds, nn.GCN, 41))
+	s := newTestServer(t, ds, src, 1<<20)
+	verts := []int32{1, 2, 40, 90}
+
+	staleModel, staleVersion, staleGen := s.refresh()
+	src.Update(testModel(ds, nn.GCN, 42))
+	// A query under the new parameters refills the cache at the new
+	// generation, so every row the stale job could look up is resident.
+	if _, err := s.Query(&Request{Verts: verts}); err != nil {
+		t.Fatal(err)
+	}
+	_, version, gen := s.refresh()
+	if version == staleVersion || gen == staleGen {
+		t.Fatalf("update did not advance version/generation: %d/%d -> %d/%d",
+			staleVersion, staleGen, version, gen)
+	}
+	before := s.cache.stats()
+	if before.Bytes == 0 {
+		t.Fatal("the new-generation query cached nothing")
+	}
+
+	// The stale job also asks for vertices the cache has never seen, so any
+	// insert it made would show up as new resident bytes.
+	staleVerts := append([]int32{7, 63, 111}, verts...)
+	w := &work{req: &Request{Verts: staleVerts}, done: make(chan struct{})}
+	asm, err := s.extract(&job{items: []*work{w}}, staleModel, staleVersion, staleGen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for l, b := range asm.plan.blocks {
+		for i, row := range b.cached {
+			if row != nil {
+				t.Fatalf("stale job served layer %d row of vertex %d from the new generation", l, b.srcs[i])
+			}
+		}
+	}
+	s.compute(asm, cloneForCompute(staleModel))
+	<-w.done
+	after := s.cache.stats()
+	if after.Bytes != before.Bytes || after.Hits != before.Hits {
+		t.Fatalf("stale job touched the new generation: bytes %d -> %d, hits %d -> %d",
+			before.Bytes, after.Bytes, before.Hits, after.Hits)
+	}
+	ref := engine.ReferenceForward(ds.Graph, staleModel, ds.Features)
+	for i, v := range staleVerts {
+		assertRowEqual(t, "stale-job logits", v, w.res.Logits.Row(i), ref.Row(int(v)))
+	}
+}
+
 // TestServeEngineSourceTrainingStepInvalidates serves from a live training
 // engine with caching on: a training step must advance the served version and
 // the post-step answer must match the post-step reference, proving the cache

@@ -77,8 +77,7 @@ var oracleCosts = costmodel.Costs{Tv: 2e-8, Te: 4e-9, Tc: 6e-8}
 // RunEquivalence trains ds under every dependency-management policy — the
 // single-machine reference, a 1-worker engine, N-worker pure DepCache,
 // N-worker pure DepComm, the cost-model hybrid plan, N-worker tensor-parallel
-// DepTP, N-worker replicated DepRep, and the 3-way hybrid3 and 4-way hybrid4
-// plans, plus the optional fault-injected and
+// DepTP and the 3-way hybrid3 plan, plus the optional fault-injected and
 // kill-and-resume variants — and checks that per-epoch
 // losses and final parameters agree with the reference within the
 // tolerances. It returns every policy's trajectory and the first divergence
@@ -133,17 +132,9 @@ func RunEquivalence(ds *dataset.Dataset, opt OracleOptions) ([]PolicyRun, error)
 			o.Workers = opt.Workers
 			o.Mode = engine.Hybrid3
 		})},
-		{fmt.Sprintf("deprep/%dw", opt.Workers), with(base, func(o *engine.Options) {
-			o.Workers = opt.Workers
-			o.Mode = engine.DepRep
-		})},
-		{fmt.Sprintf("hybrid4/%dw", opt.Workers), with(base, func(o *engine.Options) {
-			o.Workers = opt.Workers
-			o.Mode = engine.Hybrid4
-		})},
 	}
 	if opt.Fault != nil {
-		for _, m := range []engine.Mode{engine.Hybrid, engine.DepTP, engine.DepRep, engine.Hybrid4} {
+		for _, m := range []engine.Mode{engine.Hybrid, engine.DepTP, engine.DepCache, engine.Hybrid3} {
 			mode := m
 			policies = append(policies, policy{
 				fmt.Sprintf("%s/%dw+faults", mode, opt.Workers),
@@ -167,7 +158,7 @@ func RunEquivalence(ds *dataset.Dataset, opt OracleOptions) ([]PolicyRun, error)
 		// Kill-and-resume per mode, each with its own snapshot subdirectory:
 		// the store is modeless and LoadLatest would otherwise hand one mode
 		// the other's snapshot.
-		for _, m := range []engine.Mode{engine.Hybrid, engine.DepTP, engine.DepRep, engine.Hybrid4} {
+		for _, m := range []engine.Mode{engine.Hybrid, engine.DepTP, engine.DepCache, engine.Hybrid3} {
 			run, err := resumeRun(ds, base, opt, m)
 			if err != nil {
 				return runs, err

@@ -52,17 +52,14 @@ import (
 type EngineKind string
 
 // The three engines of the paper, plus the tensor-parallel policy (DepTP,
-// after NeutronTP), the replicated policy (DepRep, after CoFree-GNN), and the
-// 3- and 4-way planners that mix them per layer. See POLICIES.md for the
-// decision matrix.
+// after NeutronTP) and the 3-way planner that mixes it in per layer. See
+// POLICIES.md for the decision matrix.
 const (
 	EngineDepCache EngineKind = "depcache"
 	EngineDepComm  EngineKind = "depcomm"
 	EngineHybrid   EngineKind = "hybrid"
 	EngineDepTP    EngineKind = "deptp"
 	EngineHybrid3  EngineKind = "hybrid3"
-	EngineDepRep   EngineKind = "deprep"
-	EngineHybrid4  EngineKind = "hybrid4"
 )
 
 // ModelKind selects the GNN architecture.
@@ -135,15 +132,11 @@ type Config struct {
 	Schedule LRSchedule
 	// MemBudgetBytes caps per-worker replica storage for the Hybrid engine.
 	MemBudgetBytes int64
-	// RepBudgetBytes caps per-worker compressed replica storage for the
-	// DepRep/Hybrid4 engines (0 = unlimited, matching MemBudgetBytes's
-	// convention; use Hybrid3 to exclude replication entirely).
-	RepBudgetBytes int64
-	// RepQuant selects the replica feature storage format for DepRep/Hybrid4:
-	// "off" (default, exact), "fp16" or "int8". Quantization applies only to
-	// replica rows; owners keep full precision. See
+	// CacheQuant selects the storage format of cached feature rows for any
+	// engine whose plan caches dependencies: "off" (default, exact), "fp16"
+	// or "int8". Owners keep full precision. See
 	// partition.RequantizeErrorBound for the per-element error bounds.
-	RepQuant string
+	CacheQuant string
 	// Metrics enables utilisation collection (see Session.Metrics).
 	Metrics bool
 	// CkptDir enables checkpointing: a full training snapshot (parameters,
@@ -409,25 +402,6 @@ func (s *Session) History() []EpochResult {
 }
 
 func toEngineOptions(cfg Config) (engine.Options, *metrics.Collector, error) {
-	var mode engine.Mode
-	switch cfg.Engine {
-	case EngineDepCache:
-		mode = engine.DepCache
-	case EngineDepComm:
-		mode = engine.DepComm
-	case EngineHybrid, "":
-		mode = engine.Hybrid
-	case EngineDepTP:
-		mode = engine.DepTP
-	case EngineHybrid3:
-		mode = engine.Hybrid3
-	case EngineDepRep:
-		mode = engine.DepRep
-	case EngineHybrid4:
-		mode = engine.Hybrid4
-	default:
-		return engine.Options{}, nil, fmt.Errorf("neutronstar: unknown engine %q", cfg.Engine)
-	}
 	var profile comm.NetworkProfile
 	switch cfg.Network {
 	case NetworkLocal, "":
@@ -475,13 +449,9 @@ func toEngineOptions(cfg Config) (engine.Options, *metrics.Collector, error) {
 	if cfg.Pool {
 		pool = tensor.NewPool()
 	}
-	repQuant, err := partition.ParseRepQuant(cfg.RepQuant)
-	if err != nil {
-		return engine.Options{}, nil, err
-	}
 	return engine.Options{
 		Workers:     cfg.Workers,
-		Mode:        mode,
+		Mode:        engine.Mode(cfg.Engine), // validated by engine.NewEngine
 		Model:       model,
 		Hidden:      cfg.HiddenDim,
 		Layers:      cfg.Layers,
@@ -497,8 +467,7 @@ func toEngineOptions(cfg Config) (engine.Options, *metrics.Collector, error) {
 		Dropout:     float32(cfg.Dropout),
 		Seed:        cfg.Seed,
 		MemBudget:   cfg.MemBudgetBytes,
-		RepBudget:   cfg.RepBudgetBytes,
-		RepQuant:    repQuant,
+		CacheQuant:  partition.RepQuant(cfg.CacheQuant), // validated by engine.NewEngine
 		Collector:   coll,
 		Fault:       fault,
 		Pool:        pool,
@@ -789,9 +758,6 @@ func (s *Session) CostSummary() []string {
 	if cr.Flips.ToTP > 0 || cr.Flips.FromTP > 0 {
 		flip += fmt.Sprintf(" + %d layers to TP, %d from TP", cr.Flips.ToTP, cr.Flips.FromTP)
 	}
-	if cr.Flips.ToRep > 0 || cr.Flips.FromRep > 0 {
-		flip += fmt.Sprintf(" + %d layers to rep, %d from rep", cr.Flips.ToRep, cr.Flips.FromRep)
-	}
 	lines = append(lines, flip)
 	return lines
 }
@@ -801,8 +767,7 @@ func (s *Session) CostSummary() []string {
 func (s *Session) Metrics() *metrics.Collector { return s.coll }
 
 // ReplicationFactor reports the vertex replication factor of the loaded plan,
-// (|V| + replicas) / |V|, for engines that materialised a replication pass
-// (DepRep); 1.0 otherwise.
+// (|V| + cached feature rows) / |V|; 1.0 when nothing is cached.
 func (s *Session) ReplicationFactor() float64 { return s.eng.ReplicationFactor() }
 
 // Close tears down the simulated cluster and stops the metric history's

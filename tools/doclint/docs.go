@@ -25,7 +25,7 @@ import (
 
 var (
 	// policyFlagRe captures the value(s) handed to -engine or -policy in doc
-	// prose and code blocks: `-engine hybrid3`, `-policy deptp,deprep`. The
+	// prose and code blocks: `-engine hybrid3`, `-policy deptp,depcache`. The
 	// leading guard keeps hyphenated prose ("cross-policy equivalence") from
 	// matching: a flag's dash is never preceded by a word character.
 	policyFlagRe = regexp.MustCompile("(^|[^A-Za-z0-9])-(?:engine|policy)[ =]([a-z0-9,]+)")

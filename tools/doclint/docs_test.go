@@ -11,7 +11,7 @@ func lintSnippet(t *testing.T, content string) []string {
 }
 
 func TestDocPolicyCheckAcceptsRegisteredModes(t *testing.T) {
-	clean := "Run `nstrain -engine hybrid3` or `nsbench -json B.json -policy deptp,deprep,hybrid4`.\n"
+	clean := "Run `nstrain -engine hybrid3` or `nsbench -json B.json -policy deptp,depcache,hybrid3`.\n"
 	if ps := lintSnippet(t, clean); len(ps) != 0 {
 		t.Fatalf("clean doc flagged: %v", ps)
 	}
@@ -32,7 +32,7 @@ func TestDocPolicyCheckFlagsUnknownMode(t *testing.T) {
 func TestDocSchemaCheckValidatesMarkedRegions(t *testing.T) {
 	clean := "intro `not_a_field` unchecked outside markers\n" +
 		"<!-- doclint:bench-schema -->\n" +
-		"| `schema_version` | `wall_median_seconds` | `flips_to_rep` |\n" +
+		"| `schema_version` | `wall_median_seconds` | `flips_to_tp` |\n" +
 		"| `serving` | `p99_latency_ms` | `crit_path` |\n" +
 		"<!-- doclint:end -->\n"
 	if ps := lintSnippet(t, clean); len(ps) != 0 {
@@ -56,7 +56,7 @@ func TestBenchFieldSetCoversNestedTypes(t *testing.T) {
 	fields := benchFieldSet()
 	for _, f := range []string{
 		"schema_version", "runs", "serving", // top level
-		"flips_to_tp", "flips_from_rep", // nested ResidualSummary
+		"flips_to_tp", "flips_from_tp", // nested ResidualSummary
 		"p50_ms", // map-valued StageQuantiles
 		"spans",  // obs.CritPath behind a pointer
 	} {
