@@ -347,7 +347,7 @@ func (w *worker) allReduce(step int) {
 		off += p.Grad.Len()
 	}
 	stop := w.tr.opts.Collector.Track(w.id, metrics.Comm)
-	comm.RingAllReduce(w.tr.fabric, w.id, w.tr.opts.Workers, 1<<20+step, buf, w.tr.opts.Collector)
+	comm.RingAllReduce(w.tr.fabric, w.id, w.tr.opts.Workers, 1<<20+step, buf)
 	stop()
 	off = 0
 	for _, p := range params {

@@ -1,10 +1,6 @@
 package comm
 
-import (
-	"neutronstar/internal/metrics"
-	"neutronstar/internal/obs"
-	"neutronstar/internal/tensor"
-)
+import "neutronstar/internal/tensor"
 
 // RingAllReduce sums buf element-wise across all m workers in place, using
 // the classic two-phase ring: m-1 scatter-reduce steps then m-1 all-gather
@@ -16,11 +12,7 @@ import (
 // Message tagging: Kind=KindAllReduce, Epoch=tag, Layer=step, Seq=chunk.
 // Callers must choose tags unique per collective (e.g. a global step
 // counter) so concurrent epochs cannot alias.
-//
-// coll (may be nil) records one structural ring_step span per step on the
-// caller's timeline, making skew between ring neighbours visible in traces
-// without altering utilisation accounting.
-func RingAllReduce(f Network, id, m, tag int, buf []float32, coll *metrics.Collector) {
+func RingAllReduce(f Network, id, m, tag int, buf []float32) {
 	if m <= 1 {
 		return
 	}
@@ -46,7 +38,6 @@ func RingAllReduce(f Network, id, m, tag int, buf []float32, coll *metrics.Colle
 	// Scatter-reduce: after m-1 steps worker id holds the fully reduced
 	// chunk (id+1) mod m.
 	for step := 0; step < m-1; step++ {
-		sp := coll.Group(id, "ring_step", obs.Int("step", step), obs.String("phase", "scatter_reduce"))
 		cSend := (id - step + 2*m) % m
 		send(step, cSend, chunk(cSend))
 		cRecv := (id - step - 1 + 2*m) % m
@@ -55,16 +46,13 @@ func RingAllReduce(f Network, id, m, tag int, buf []float32, coll *metrics.Colle
 		for k, v := range msg.Rows.Data() {
 			dst[k] += v
 		}
-		sp.End()
 	}
 	// All-gather: circulate the reduced chunks.
 	for step := 0; step < m-1; step++ {
-		sp := coll.Group(id, "ring_step", obs.Int("step", m-1+step), obs.String("phase", "all_gather"))
 		cSend := (id + 1 - step + 2*m) % m
 		send(m-1+step, cSend, chunk(cSend))
 		cRecv := (id - step + 2*m) % m
 		msg := mb.Wait(KindAllReduce, tag, m-1+step, cRecv, prev)
 		copy(chunk(cRecv), msg.Rows.Data())
-		sp.End()
 	}
 }

@@ -370,7 +370,7 @@ func TestRingAllReduceSums(t *testing.T) {
 			wg.Add(1)
 			go func(i int) {
 				defer wg.Done()
-				RingAllReduce(f, i, m, 7, bufs[i], nil)
+				RingAllReduce(f, i, m, 7, bufs[i])
 			}(i)
 		}
 		wg.Wait()
@@ -389,7 +389,7 @@ func TestRingAllReduceSingleWorkerNoOp(t *testing.T) {
 	f := NewFabric(1, ProfileLocal, nil)
 	defer f.Close()
 	buf := []float32{1, 2, 3}
-	RingAllReduce(f, 0, 1, 0, buf, nil)
+	RingAllReduce(f, 0, 1, 0, buf)
 	if buf[0] != 1 || buf[2] != 3 {
 		t.Fatal("single-worker allreduce mutated buffer")
 	}
@@ -416,7 +416,7 @@ func TestQuickRingAllReduceBitIdentical(t *testing.T) {
 			wg.Add(1)
 			go func(i int) {
 				defer wg.Done()
-				RingAllReduce(fab, i, m, 3, bufs[i], nil)
+				RingAllReduce(fab, i, m, 3, bufs[i])
 			}(i)
 		}
 		wg.Wait()
@@ -601,7 +601,7 @@ func TestTCPRingAllReduce(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			RingAllReduce(f, i, m, 9, bufs[i], nil)
+			RingAllReduce(f, i, m, 9, bufs[i])
 		}(i)
 	}
 	wg.Wait()

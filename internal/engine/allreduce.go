@@ -2,9 +2,7 @@ package engine
 
 import (
 	"neutronstar/internal/comm"
-	"neutronstar/internal/metrics"
 	"neutronstar/internal/nn"
-	"neutronstar/internal/obs"
 )
 
 // allReduceGrads sums every parameter gradient across workers with a ring
@@ -16,22 +14,17 @@ func (ws *workerState) allReduceGrads(epoch int, params []*nn.Param) {
 	if m == 1 {
 		return
 	}
-	coll := ws.eng.opts.Collector
-
 	total := 0
 	for _, p := range params {
 		total += p.Grad.Len()
 	}
-	sp := coll.Span(ws.id, metrics.Comm, "allreduce",
-		obs.Int("epoch", epoch), obs.Int("bytes", 4*total))
-	defer sp.End()
 	buf := make([]float32, total)
 	off := 0
 	for _, p := range params {
 		copy(buf[off:], p.Grad.Data())
 		off += p.Grad.Len()
 	}
-	comm.RingAllReduce(ws.eng.fabric, ws.id, m, epoch, buf, coll)
+	comm.RingAllReduce(ws.eng.fabric, ws.id, m, epoch, buf)
 	off = 0
 	for _, p := range params {
 		copy(p.Grad.Data(), buf[off:off+p.Grad.Len()])

@@ -74,14 +74,28 @@ func TestCausalCritPathCoversWall(t *testing.T) {
 }
 
 // TestCausalRunExportsFlowEvents: with a collector attached, every epoch's
-// traced cross-worker wait-matches must surface as Chrome flow events.
+// traced cross-worker wait-matches must surface as Chrome flow events, and
+// each arrow must end inside a Comm-class stage span of the receiving worker
+// — arrows and spans come from the same clock reads, so this holds exactly.
 func TestCausalRunExportsFlowEvents(t *testing.T) {
 	_, col := trainCausal(t, Options{Workers: 3, Mode: DepComm, Seed: 7}, 2)
 	flows := col.Tracer().Flows()
 	if len(flows) == 0 {
 		t.Fatal("causal multi-worker run exported no flow events")
 	}
+	spans := col.Tracer().Snapshot()
 	for _, f := range flows {
+		inComm := false
+		for _, sp := range spans {
+			if sp.Worker == f.ToWorker && sp.Class == int(metrics.Comm) &&
+				sp.Start <= f.End && f.End <= sp.End {
+				inComm = true
+				break
+			}
+		}
+		if !inComm {
+			t.Fatalf("flow ends outside every comm span of worker %d: %+v", f.ToWorker, f)
+		}
 		if f.ID == 0 {
 			t.Fatalf("flow with zero span id: %+v", f)
 		}

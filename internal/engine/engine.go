@@ -117,7 +117,10 @@ type Options struct {
 	// manual sweep of Figure 11.
 	ForceRatio bool
 	CacheRatio float64
-	// Collector receives utilisation metrics (may be nil).
+	// Collector receives utilisation metrics (may be nil): the workers' stage
+	// clocks mirror every phase interval into it as a span classed by
+	// metrics.StageKind. Without a Recorder the engine records into a
+	// private one, so the clocks exist.
 	Collector *metrics.Collector
 	// Fault, when non-nil, wraps the fabric in seeded fault injection
 	// (drops, delays, duplicates per comm.FaultSpec) with retransmission.
@@ -191,6 +194,11 @@ type Engine struct {
 	costs costmodel.Costs
 	// cacheQuant is the validated storage format of cached feature rows.
 	cacheQuant partition.RepQuant
+	// rec is the flight recorder the workers' stage clocks feed: Options.
+	// Recorder, or a private one when only a Collector is set. sink mirrors
+	// the clocks' intervals into the Collector (nil without one).
+	rec  *obs.FlightRecorder
+	sink *obs.SpanSink
 	// tpFeatAll is the full-width feature matrix in owner-block row order,
 	// shared by all workers when layer 1 runs the assemble TP dataflow.
 	tpFeatAll *tensor.Tensor
@@ -292,14 +300,22 @@ func NewEngine(ds *dataset.Dataset, opts Options) (*Engine, error) {
 	if opts.Fault != nil {
 		fabric = comm.NewFaultyFabric(fabric, opts.Fault)
 	}
-	if opts.Recorder != nil {
+	rec := opts.Recorder
+	if rec == nil && opts.Collector != nil {
+		// The Collector's spans come from the stage clocks, which need a
+		// recorder to run.
+		rec = obs.NewFlightRecorder()
+	}
+	if rec != nil {
 		// Outermost wrapper: send-side attribution must see each logical
 		// Send once, before fault injection multiplies transmissions.
-		fabric = newRecordingNet(fabric, opts.Recorder)
+		fabric = newRecordingNet(fabric, rec)
 	}
 	e := &Engine{
 		opts: opts, ds: ds, part: part, decs: decs, plans: plans, dims: dims,
 		fabric:         fabric,
+		rec:            rec,
+		sink:           opts.Collector.StageSink(),
 		costs:          costs,
 		cacheQuant:     cacheQuant,
 		PreprocessTime: preprocess,
@@ -389,7 +405,7 @@ func (e *Engine) Close() { e.fabric.Close() }
 // RunEpoch executes one synchronous training epoch across all workers and
 // returns aggregate statistics.
 func (e *Engine) RunEpoch() EpochStats {
-	rec := e.opts.Recorder
+	rec := e.rec
 	rec.BeginEpoch(e.epoch+1, e.opts.Workers, len(e.dims)-1)
 	start := time.Now()
 	type result struct {

@@ -2,9 +2,7 @@ package engine
 
 import (
 	"neutronstar/internal/comm"
-	"neutronstar/internal/metrics"
 	"neutronstar/internal/nn"
-	"neutronstar/internal/obs"
 	"neutronstar/internal/tensor"
 )
 
@@ -32,15 +30,10 @@ func (ws *workerState) paramServerUpdate(epoch int, params []*nn.Param) {
 		ws.opt.Step(params)
 		return
 	}
-	coll := ws.eng.opts.Collector
-
 	total := 0
 	for _, p := range params {
 		total += p.Grad.Len()
 	}
-	sp := coll.Span(ws.id, metrics.Comm, "param_server",
-		obs.Int("epoch", epoch), obs.Int("bytes", 4*total))
-	defer sp.End()
 
 	if ws.id != 0 {
 		// Push gradients, then install the broadcast parameters.

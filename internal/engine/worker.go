@@ -3,7 +3,6 @@ package engine
 import (
 	"neutronstar/internal/autograd"
 	"neutronstar/internal/comm"
-	"neutronstar/internal/metrics"
 	"neutronstar/internal/nn"
 	"neutronstar/internal/obs"
 	"neutronstar/internal/partition"
@@ -149,23 +148,22 @@ func (ws *workerState) peerOrder() []int {
 func (ws *workerState) runEpoch(epoch int) (lossSum float64, count int) {
 	L := len(ws.plan.layers)
 	runs := make([]layerRun, L)
-	coll := ws.eng.opts.Collector
-	eg := coll.Group(ws.id, "epoch",
-		obs.Int("epoch", epoch), obs.String("mode", string(ws.eng.opts.Mode)))
-	defer eg.End()
-	// sc is this worker's exclusive stage clock for the epoch (nil when
-	// recording is off — every method on it is nil-safe). It lives on this
-	// goroutine only; background send goroutines must never touch it.
-	sc := ws.eng.opts.Recorder.Clock(ws.id)
+	// sc is this worker's exclusive stage clock for the epoch and the
+	// worker's only phase bracket: its intervals feed the recorder's stage
+	// cells and, through the sink, the collector's spans. Nil when recording
+	// is off — every method on it is nil-safe. It lives on this goroutine
+	// only; background send goroutines must never touch it.
+	sc := ws.eng.rec.Clock(ws.id)
+	sc.SetSink(ws.eng.sink)
 	defer sc.End()
 
 	// ---- Forward: synchronize-compute per layer ----
 	prevVal := ws.feat
 	for l := 1; l <= L; l++ {
 		if ws.plan.tpLayers[l-1] != nil {
-			runs[l-1] = ws.forwardLayerTP(epoch, l, prevVal, coll, true, sc)
+			runs[l-1] = ws.forwardLayerTP(epoch, l, prevVal, true, sc)
 		} else {
-			runs[l-1] = ws.forwardLayer(epoch, l, prevVal, coll, true, sc)
+			runs[l-1] = ws.forwardLayer(epoch, l, prevVal, true, sc)
 		}
 		prevVal = runs[l-1].out.Value
 	}
@@ -173,7 +171,6 @@ func (ws *workerState) runEpoch(epoch int) (lossSum float64, count int) {
 	// ---- Loss on owned rows of the final layer ----
 	sc.Switch(obs.StageBackward, L)
 	last := &runs[L-1]
-	lossSp := coll.Span(ws.id, metrics.Compute, "loss_backward", obs.Int("epoch", epoch))
 	tape := last.tape
 	ownedRows := len(ws.plan.owned)
 	logits := last.out
@@ -192,7 +189,6 @@ func (ws *workerState) runEpoch(epoch int) (lossSum float64, count int) {
 		seed.Set(0, 0, float32(n)/float32(ws.totalLabeled))
 	}
 	tape.Backward(loss, seed)
-	lossSp.End()
 
 	// ---- Backward: compute-synchronize per layer ----
 	for l := L; l >= 1; l-- {
@@ -205,12 +201,10 @@ func (ws *workerState) runEpoch(epoch int) (lossSum float64, count int) {
 
 	// ---- Parameter update: collect, synchronise, step ----
 	sc.Switch(obs.StageBackward, 0)
-	collectSp := coll.Span(ws.id, metrics.Compute, "collect_grads")
 	params := ws.model.Params()
 	for _, p := range params {
 		p.CollectGrad()
 	}
-	collectSp.End()
 	if sched := ws.eng.opts.Scheduler; sched != nil {
 		nn.SetLR(ws.opt, sched.LR(epoch))
 	}
@@ -232,12 +226,10 @@ func (ws *workerState) runEpoch(epoch int) (lossSum float64, count int) {
 
 // forwardLayer executes one layer: send master rows, redundantly compute the
 // cached block, receive mirror rows, compute the owned block.
-func (ws *workerState) forwardLayer(epoch, l int, prevVal *tensor.Tensor, coll *metrics.Collector, training bool, sc *obs.StageClock) layerRun {
+func (ws *workerState) forwardLayer(epoch, l int, prevVal *tensor.Tensor, training bool, sc *obs.StageClock) layerRun {
 	lp := &ws.plan.layers[l-1]
 	layer := ws.model.Layers[l-1]
 	tape := ws.newTape(training)
-	lg := coll.Group(ws.id, "layer", obs.Int("layer", l))
-	defer lg.End()
 	sc.Switch(obs.StageForward, l)
 
 	sendDone := make(chan struct{})
@@ -259,7 +251,7 @@ func (ws *workerState) forwardLayer(epoch, l int, prevVal *tensor.Tensor, coll *
 	// received chunk's edge stage runs as the chunk arrives, so compute on
 	// chunk k overlaps delivery of chunk k+1.
 	if sd, ok := layer.(nn.SumDecomposable); ok && ws.eng.opts.Overlap && !ws.eng.opts.Broadcast {
-		run := ws.forwardLayerChunked(epoch, l, prevVal, coll, training, sd, tape, sc)
+		run := ws.forwardLayerChunked(epoch, l, prevVal, training, sd, tape, sc)
 		<-sendDone
 		return run
 	}
@@ -272,9 +264,7 @@ func (ws *workerState) forwardLayer(epoch, l int, prevVal *tensor.Tensor, coll *
 	zPrev := hPrev
 	pt, hasPT := layer.(nn.PreTransformer)
 	if hasPT {
-		sp := coll.Span(ws.id, metrics.Compute, "pre_transform", obs.Int("layer", l))
 		zPrev = pt.PreTransform(tape, hPrev, training, ws.rng)
-		sp.End()
 	}
 
 	// Cached (DepCache) block: all sources are local, so it runs while the
@@ -282,10 +272,7 @@ func (ws *workerState) forwardLayer(epoch, l int, prevVal *tensor.Tensor, coll *
 	var outCached *autograd.Variable
 	if lp.cached.numDst() > 0 {
 		depCacheHits.Add(float64(lp.cached.numDst()))
-		sp := coll.Span(ws.id, metrics.Compute, "compute_cached",
-			obs.Int("layer", l), obs.Int("rows", lp.cached.numDst()))
 		outCached = ws.runBlock(tape, layer, &lp.cached, zPrev, zPrev, training)
-		sp.End()
 	}
 
 	// Receive mirror chunks; assemble the received row block.
@@ -295,9 +282,6 @@ func (ws *workerState) forwardLayer(epoch, l int, prevVal *tensor.Tensor, coll *
 	if numRecv > 0 {
 		depCacheMisses.Add(float64(numRecv))
 		sc.Switch(obs.StageDepFetchRecv, l)
-		sp := coll.Span(ws.id, metrics.Comm, "gather_dep_nbr",
-			obs.Int("layer", l), obs.Int("rows", numRecv))
-		recvBytes := 0
 		recvVal := ws.alloc(training, numRecv, layer.InDim())
 		for _, j := range ws.peerOrder() {
 			verts := lp.recv[j]
@@ -307,7 +291,6 @@ func (ws *workerState) forwardLayer(epoch, l int, prevVal *tensor.Tensor, coll *
 			base := int(lp.recvOffset[j]) - lp.numPrevRows
 			if ws.eng.opts.Broadcast {
 				msg := ws.mb.Wait(comm.KindBlock, epoch, l, 0, j)
-				recvBytes += msg.WireBytes()
 				for r, v := range verts {
 					idx := searchVertex(msg.Vertices, v)
 					copy(recvVal.Row(base+r), msg.Rows.Row(idx))
@@ -315,33 +298,25 @@ func (ws *workerState) forwardLayer(epoch, l int, prevVal *tensor.Tensor, coll *
 				continue
 			}
 			msg := ws.mb.Wait(comm.KindRep, epoch, l, 0, j)
-			recvBytes += msg.WireBytes()
 			for r := range verts {
 				copy(recvVal.Row(base+r), msg.Rows.Row(r))
 			}
 		}
-		sp.SetAttrs(obs.Int("bytes", recvBytes))
-		sp.End()
 		sc.Switch(obs.StageForward, l)
 		hRecv = tape.Leaf(recvVal, true, "h_recv")
 		zRecv := hRecv
 		if hasPT {
-			spC := coll.Span(ws.id, metrics.Compute, "pre_transform", obs.Int("layer", l))
 			zRecv = pt.PreTransform(tape, hRecv, training, ws.rng)
-			spC.End()
 		}
 		zAll = tape.ConcatRows(zPrev, zRecv)
 	}
 
 	// Owned block: sources may live anywhere in zAll.
-	sp := coll.Span(ws.id, metrics.Compute, "compute_owned",
-		obs.Int("layer", l), obs.Int("rows", lp.owned.numDst()))
 	outOwned := ws.runBlock(tape, layer, &lp.owned, zAll, zPrev, training)
 	out := outOwned
 	if outCached != nil {
 		out = tape.ConcatRows(outOwned, outCached)
 	}
-	sp.End()
 
 	<-sendDone
 	return layerRun{tape: tape, hPrev: hPrev, hRecv: hRecv, out: out}
@@ -355,13 +330,13 @@ func (ws *workerState) runForward(epoch int) *tensor.Tensor {
 	L := len(ws.plan.layers)
 	prevVal := ws.feat
 	for l := 1; l <= L; l++ {
-		// Inference passes carry a nil clock: they run outside any epoch and
-		// the recorder would drop their samples anyway.
+		// Inference passes carry a nil clock: they run outside any epoch, the
+		// recorder would drop their samples anyway, and they emit no spans.
 		var run layerRun
 		if ws.plan.tpLayers[l-1] != nil {
-			run = ws.forwardLayerTP(epoch, l, prevVal, ws.eng.opts.Collector, false, nil)
+			run = ws.forwardLayerTP(epoch, l, prevVal, false, nil)
 		} else {
-			run = ws.forwardLayer(epoch, l, prevVal, ws.eng.opts.Collector, false, nil)
+			run = ws.forwardLayer(epoch, l, prevVal, false, nil)
 		}
 		prevVal = run.out.Value
 	}
@@ -376,8 +351,7 @@ func (ws *workerState) runForward(epoch int) *tensor.Tensor {
 // peer's chunk in arrival schedule order), partial aggregations are summed,
 // and the vertex stage runs once at the end.
 func (ws *workerState) forwardLayerChunked(epoch, l int, prevVal *tensor.Tensor,
-	coll *metrics.Collector, training bool, sd nn.SumDecomposable, tape *autograd.Tape,
-	sc *obs.StageClock) layerRun {
+	training bool, sd nn.SumDecomposable, tape *autograd.Tape, sc *obs.StageClock) layerRun {
 
 	lp := &ws.plan.layers[l-1]
 	layer := ws.model.Layers[l-1]
@@ -388,10 +362,7 @@ func (ws *workerState) forwardLayerChunked(epoch, l int, prevVal *tensor.Tensor,
 	var outCached *autograd.Variable
 	if lp.cached.numDst() > 0 {
 		depCacheHits.Add(float64(lp.cached.numDst()))
-		sp := coll.Span(ws.id, metrics.Compute, "compute_cached",
-			obs.Int("layer", l), obs.Int("rows", lp.cached.numDst()))
 		outCached = ws.runBlock(tape, layer, &lp.cached, hPrev, hPrev, training)
-		sp.End()
 	}
 
 	numDst := lp.owned.numDst()
@@ -402,11 +373,8 @@ func (ws *workerState) forwardLayerChunked(epoch, l int, prevVal *tensor.Tensor,
 		if g.peer < 0 {
 			// Local region: aggregate immediately.
 			if len(g.srcLocal) > 0 {
-				sp := coll.Span(ws.id, metrics.Compute, "edge_stage",
-					obs.Int("layer", l), obs.Int("peer", -1))
 				partials = append(partials,
 					sd.EdgeStage(tape, tape.Gather(hPrev, g.srcLocal), g.edgeNorm, g.dstRow, numDst))
-				sp.End()
 			}
 			continue
 		}
@@ -422,26 +390,17 @@ func (ws *workerState) forwardLayerChunked(epoch, l int, prevVal *tensor.Tensor,
 		}
 		depCacheMisses.Add(float64(len(verts)))
 		sc.Switch(obs.StageDepFetchRecv, l)
-		sp := coll.Span(ws.id, metrics.Comm, "recv_chunk",
-			obs.Int("layer", l), obs.Int("peer", j), obs.Int("rows", len(verts)))
 		msg := ws.mb.Wait(comm.KindRep, epoch, l, 0, j)
-		sp.SetAttrs(obs.Int("bytes", msg.WireBytes()))
-		sp.End()
 		sc.Switch(obs.StageForward, l)
 		leaf := tape.Leaf(msg.Rows, true, "h_chunk")
 		leaves = append(leaves, chunkLeaf{peer: j, v: leaf})
 		if g == nil {
 			continue // received for availability but no owned edge uses it
 		}
-		spC := coll.Span(ws.id, metrics.Compute, "edge_stage",
-			obs.Int("layer", l), obs.Int("peer", j))
 		partials = append(partials,
 			sd.EdgeStage(tape, tape.Gather(leaf, g.srcLocal), g.edgeNorm, g.dstRow, numDst))
-		spC.End()
 	}
 
-	vertexSp := coll.Span(ws.id, metrics.Compute, "vertex_stage",
-		obs.Int("layer", l), obs.Int("rows", numDst))
 	var agg *autograd.Variable
 	for _, p := range partials {
 		if agg == nil {
@@ -459,7 +418,6 @@ func (ws *workerState) forwardLayerChunked(epoch, l int, prevVal *tensor.Tensor,
 	if outCached != nil {
 		out = tape.ConcatRows(outOwned, outCached)
 	}
-	vertexSp.End()
 	return layerRun{tape: tape, hPrev: hPrev, out: out, chunkLeaves: leaves}
 }
 
@@ -493,15 +451,12 @@ func (ws *workerState) sendReps(epoch, l int, prevVal *tensor.Tensor, training b
 		arena = ws.arena
 	}
 	lp := &ws.plan.layers[l-1]
-	coll := ws.eng.opts.Collector
 	ownedPos := ws.plan.prevIndex[l-1] // owned rows come first in every layout
 	for _, j := range ws.peerOrder() {
 		verts := lp.send[j]
 		if len(verts) == 0 {
 			continue
 		}
-		sp := coll.Span(ws.id, metrics.Comm, "send_dep_nbr",
-			obs.Int("layer", l), obs.Int("peer", j))
 		if ws.eng.opts.Broadcast {
 			// ROC-style: ship the whole owned block; the receiver picks the
 			// rows it needs.
@@ -511,9 +466,7 @@ func (ws *workerState) sendReps(epoch, l int, prevVal *tensor.Tensor, training b
 				Vertices: ws.plan.owned,
 				Rows:     prevVal.RowSlice(0, len(ws.plan.owned)),
 			}
-			sp.SetAttrs(obs.Int("bytes", msg.WireBytes()))
 			ws.eng.fabric.Send(msg)
-			sp.End()
 			continue
 		}
 		buf := comm.NewEnqueuerArena(ws.eng.opts.LockFree, verts, prevVal.Cols(), arena)
@@ -529,9 +482,7 @@ func (ws *workerState) sendReps(epoch, l int, prevVal *tensor.Tensor, training b
 			From: ws.id, To: j, Kind: comm.KindRep,
 			Epoch: epoch, Layer: l, Vertices: ids, Rows: rows,
 		}
-		sp.SetAttrs(obs.Int("bytes", msg.WireBytes()))
 		ws.eng.fabric.Send(msg)
-		sp.End()
 	}
 }
 
@@ -558,9 +509,6 @@ func searchVertex(list []int32, v int32) int {
 func (ws *workerState) backwardLayer(epoch, l int, runs []layerRun, sc *obs.StageClock) {
 	lp := &ws.plan.layers[l-1]
 	run := &runs[l-1]
-	coll := ws.eng.opts.Collector
-	bg := coll.Group(ws.id, "backward", obs.Int("layer", l))
-	defer bg.End()
 	sc.Switch(obs.StageBackward, l)
 
 	// Seed: for the top layer the loss already back-propagated on the same
@@ -576,15 +524,12 @@ func (ws *workerState) backwardLayer(epoch, l int, runs []layerRun, sc *obs.Stag
 		// every peer I sent rows to.
 		ws.receiveMirrorGrads(epoch, l+1, seed, sc)
 		sc.Switch(obs.StageBackward, l)
-		sp := coll.Span(ws.id, metrics.Compute, "tape_backward", obs.Int("layer", l))
 		run.tape.Backward(run.out, seed)
-		sp.End()
 	}
 	// Post mirror gradients of chunk-pipelined leaves (one message per peer
 	// chunk) — except layer 1, whose inputs are static features.
 	if len(run.chunkLeaves) > 0 && l > 1 {
 		sc.Switch(obs.StageMirrorScatter, l)
-		sp := coll.Span(ws.id, metrics.Comm, "post_to_dep_nbr", obs.Int("layer", l))
 		for _, cl := range run.chunkLeaves {
 			verts := lp.recv[cl.peer]
 			grad := cl.v.Grad
@@ -596,7 +541,6 @@ func (ws *workerState) backwardLayer(epoch, l int, runs []layerRun, sc *obs.Stag
 				Epoch: epoch, Layer: l, Vertices: verts, Rows: grad,
 			})
 		}
-		sp.End()
 		sc.Switch(obs.StageBackward, l)
 	}
 	// Post mirror gradients of this layer's received rows to their masters
@@ -607,7 +551,6 @@ func (ws *workerState) backwardLayer(epoch, l int, runs []layerRun, sc *obs.Stag
 			grad = ws.alloc(true, run.hRecv.Value.Rows(), run.hRecv.Value.Cols())
 		}
 		sc.Switch(obs.StageMirrorScatter, l)
-		sp := coll.Span(ws.id, metrics.Comm, "post_to_dep_nbr", obs.Int("layer", l))
 		for _, j := range ws.peerOrder() {
 			verts := lp.recv[j]
 			if len(verts) == 0 {
@@ -635,7 +578,6 @@ func (ws *workerState) backwardLayer(epoch, l int, runs []layerRun, sc *obs.Stag
 				Epoch: epoch, Layer: l, Vertices: verts, Rows: rows,
 			})
 		}
-		sp.End()
 		sc.Switch(obs.StageBackward, l)
 	}
 }
@@ -648,7 +590,6 @@ func (ws *workerState) receiveMirrorGrads(epoch, l int, seed *tensor.Tensor, sc 
 		return
 	}
 	lp := &ws.plan.layers[l-1]
-	coll := ws.eng.opts.Collector
 	ownedPos := ws.plan.prevIndex[l-1]
 	// Waiting on mirror gradients is scatter-side time of the layer that sent
 	// the mirrors; the caller flips the clock back to backward-compute.
@@ -658,10 +599,7 @@ func (ws *workerState) receiveMirrorGrads(epoch, l int, seed *tensor.Tensor, sc 
 		if len(verts) == 0 {
 			continue
 		}
-		sp := coll.Span(ws.id, metrics.Comm, "recv_mirror_grads",
-			obs.Int("layer", l), obs.Int("peer", j))
 		msg := ws.mb.Wait(comm.KindGrad, epoch, l, 0, j)
-		sp.SetAttrs(obs.Int("bytes", msg.WireBytes()))
 		if ws.eng.opts.Broadcast {
 			// Full-width block aligned with my owned rows (which are the
 			// first rows of every layout).
@@ -672,7 +610,6 @@ func (ws *workerState) receiveMirrorGrads(epoch, l int, seed *tensor.Tensor, sc 
 					dst[c] += g
 				}
 			}
-			sp.End()
 			continue
 		}
 		for r, v := range verts {
@@ -682,6 +619,5 @@ func (ws *workerState) receiveMirrorGrads(epoch, l int, seed *tensor.Tensor, sc 
 				dst[c] += g
 			}
 		}
-		sp.End()
 	}
 }

@@ -3,7 +3,6 @@ package engine
 import (
 	"neutronstar/internal/autograd"
 	"neutronstar/internal/comm"
-	"neutronstar/internal/metrics"
 	"neutronstar/internal/nn"
 	"neutronstar/internal/obs"
 	"neutronstar/internal/tensor"
@@ -48,11 +47,11 @@ type tpLayerRun struct {
 
 // forwardLayerTP dispatches a tensor-parallel layer's forward pass.
 func (ws *workerState) forwardLayerTP(epoch, l int, prevVal *tensor.Tensor,
-	coll *metrics.Collector, training bool, sc *obs.StageClock) layerRun {
+	training bool, sc *obs.StageClock) layerRun {
 	if ws.plan.tpLayers[l-1].shared.slice {
-		return ws.forwardLayerTPSlice(epoch, l, prevVal, coll, training, sc)
+		return ws.forwardLayerTPSlice(epoch, l, prevVal, training, sc)
 	}
-	return ws.forwardLayerTPAssemble(epoch, l, prevVal, coll, training, sc)
+	return ws.forwardLayerTPAssemble(epoch, l, prevVal, training, sc)
 }
 
 // backwardLayerTP dispatches a tensor-parallel layer's backward pass.
@@ -99,7 +98,7 @@ func (ws *workerState) tpSeedBackward(epoch, l int, runs []layerRun, sc *obs.Sta
 // aggregate the full graph over that slice on a dedicated tape, re-gather the
 // owned rows to full width, and run the vertex stage on the main tape.
 func (ws *workerState) forwardLayerTPSlice(epoch, l int, prevVal *tensor.Tensor,
-	coll *metrics.Collector, training bool, sc *obs.StageClock) layerRun {
+	training bool, sc *obs.StageClock) layerRun {
 
 	tp := ws.plan.tpLayers[l-1]
 	sh := tp.shared
@@ -112,9 +111,6 @@ func (ws *workerState) forwardLayerTPSlice(epoch, l int, prevVal *tensor.Tensor,
 	lo, hi := int(tp.colStart[ws.id]), int(tp.colStart[ws.id+1])
 	width := hi - lo
 	requiresGrad := training && l > 1
-
-	lg := coll.Group(ws.id, "layer", obs.Int("layer", l))
-	defer lg.End()
 	sc.Switch(obs.StageForward, l)
 
 	// 1. Slice input X_j (|V| × width_j). Layer 1 reads the static feature
@@ -122,7 +118,6 @@ func (ws *workerState) forwardLayerTPSlice(epoch, l int, prevVal *tensor.Tensor,
 	xVal := ws.sliceFeat
 	if l > 1 {
 		sc.Switch(obs.StageDepFetchSend, l)
-		sp := coll.Span(ws.id, metrics.Comm, "tp_slice_scatter", obs.Int("layer", l))
 		for _, j := range ws.peerOrder() {
 			plo, phi := int(tp.colStart[j]), int(tp.colStart[j+1])
 			if nOwned == 0 || phi == plo {
@@ -134,12 +129,10 @@ func (ws *workerState) forwardLayerTPSlice(epoch, l int, prevVal *tensor.Tensor,
 			}
 			ws.tpSend(epoch, l, 0, j, rows)
 		}
-		sp.End()
 		xVal = nil
 		if width > 0 {
 			xVal = ws.alloc(training, totalV, width)
 			sc.Switch(obs.StageDepFetchRecv, l)
-			spR := coll.Span(ws.id, metrics.Comm, "tp_slice_gather", obs.Int("layer", l))
 			for _, j := range ws.peerOrder() {
 				if sh.blockStart[j+1] == sh.blockStart[j] {
 					continue
@@ -150,7 +143,6 @@ func (ws *workerState) forwardLayerTPSlice(epoch, l int, prevVal *tensor.Tensor,
 					copy(xVal.Row(base+r), msg.Rows.Row(r))
 				}
 			}
-			spR.End()
 			base := int(sh.blockStart[ws.id])
 			for r := 0; r < nOwned; r++ {
 				copy(xVal.Row(base+r), prevVal.Row(r)[lo:hi])
@@ -164,21 +156,17 @@ func (ws *workerState) forwardLayerTPSlice(epoch, l int, prevVal *tensor.Tensor,
 	run := layerRun{tape: tape}
 	trun := &tpLayerRun{plan: tp}
 	if width > 0 {
-		sp := coll.Span(ws.id, metrics.Compute, "tp_edge_stage",
-			obs.Int("layer", l), obs.Int("rows", totalV))
 		sliceTape := ws.newTape(training)
 		xLeaf := sliceTape.Leaf(xVal, requiresGrad, "tp_x")
 		trun.sliceTape = sliceTape
 		trun.x = xLeaf
 		trun.aggSlice = sd.EdgeStage(sliceTape,
 			sliceTape.Gather(xLeaf, sh.srcRow), sh.edgeNorm, sh.dstRow, totalV)
-		sp.End()
 	}
 
 	// 3. Re-gather: every owner receives its rows' aggregation at full width.
 	aggFull := ws.alloc(training, nOwned, d)
 	sc.Switch(obs.StageDepFetchSend, l)
-	sp := coll.Span(ws.id, metrics.Comm, "tp_re_gather", obs.Int("layer", l))
 	if width > 0 {
 		for _, j := range ws.peerOrder() {
 			blo, bhi := int(sh.blockStart[j]), int(sh.blockStart[j+1])
@@ -207,17 +195,13 @@ func (ws *workerState) forwardLayerTPSlice(epoch, l int, prevVal *tensor.Tensor,
 			}
 		}
 	}
-	sp.End()
 	sc.Switch(obs.StageForward, l)
 
 	// 4. Vertex stage on the main tape. prevVal is exactly the owned rows
 	// (TP layers admit no cached block below them), so it doubles as self.
-	spV := coll.Span(ws.id, metrics.Compute, "tp_vertex_stage",
-		obs.Int("layer", l), obs.Int("rows", nOwned))
 	hPrev := tape.Leaf(prevVal, requiresGrad, "h_prev")
 	aggLeaf := tape.Leaf(aggFull, requiresGrad, "tp_agg")
 	out := sd.VertexStage(tape, aggLeaf, hPrev, tp.selfNormOwned, training, ws.rng)
-	spV.End()
 	trun.agg = aggLeaf
 	run.hPrev = hPrev
 	run.out = out
@@ -232,9 +216,6 @@ func (ws *workerState) backwardLayerTPSlice(epoch, l int, runs []layerRun, sc *o
 	run := &runs[l-1]
 	tp := run.tp.plan
 	sh := tp.shared
-	coll := ws.eng.opts.Collector
-	bg := coll.Group(ws.id, "backward", obs.Int("layer", l))
-	defer bg.End()
 	sc.Switch(obs.StageBackward, l)
 	ws.tpSeedBackward(epoch, l, runs, sc)
 	if l == 1 {
@@ -255,7 +236,6 @@ func (ws *workerState) backwardLayerTPSlice(epoch, l int, runs []layerRun, sc *o
 	// Re-scatter (adjoint of the re-gather): route each worker's columns of
 	// my owned rows' aggregation gradient back to that worker.
 	sc.Switch(obs.StageMirrorScatter, l)
-	sp := coll.Span(ws.id, metrics.Comm, "tp_re_scatter", obs.Int("layer", l))
 	for _, j := range ws.peerOrder() {
 		plo, phi := int(tp.colStart[j]), int(tp.colStart[j+1])
 		if nOwned == 0 || phi == plo {
@@ -285,26 +265,22 @@ func (ws *workerState) backwardLayerTPSlice(epoch, l int, runs []layerRun, sc *o
 			copy(dASlice.Row(base+r), dAgg.Row(r)[lo:hi])
 		}
 	}
-	sp.End()
 	sc.Switch(obs.StageBackward, l)
 
 	// Slice-tape backward: dA_j → dX_j over the full graph.
 	var dX *tensor.Tensor
 	if width > 0 {
-		spB := coll.Span(ws.id, metrics.Compute, "tp_edge_backward", obs.Int("layer", l))
 		run.tp.sliceTape.Backward(run.tp.aggSlice, dASlice)
 		dX = run.tp.x.Grad
 		if dX == nil {
 			dX = ws.alloc(true, totalV, width)
 		}
-		spB.End()
 	}
 
 	// Gradient scatter (adjoint of the slice-scatter): ship each owner its
 	// rows of dX; owners accumulate every worker's columns — plus the local
 	// self-path gradient already on hPrev — into the layer input's gradient.
 	sc.Switch(obs.StageMirrorScatter, l)
-	spG := coll.Span(ws.id, metrics.Comm, "tp_grad_scatter", obs.Int("layer", l))
 	if width > 0 {
 		for _, j := range ws.peerOrder() {
 			blo, bhi := int(sh.blockStart[j]), int(sh.blockStart[j+1])
@@ -343,7 +319,6 @@ func (ws *workerState) backwardLayerTPSlice(epoch, l int, runs []layerRun, sc *o
 			}
 		}
 	}
-	spG.End()
 	sc.Switch(obs.StageBackward, l)
 }
 
@@ -354,7 +329,7 @@ func (ws *workerState) backwardLayerTPSlice(epoch, l int, runs []layerRun, sc *o
 // over it — the layer's edge stage (attention, pooling) sees every source at
 // full width, so no model assumption is needed.
 func (ws *workerState) forwardLayerTPAssemble(epoch, l int, prevVal *tensor.Tensor,
-	coll *metrics.Collector, training bool, sc *obs.StageClock) layerRun {
+	training bool, sc *obs.StageClock) layerRun {
 
 	tp := ws.plan.tpLayers[l-1]
 	sh := tp.shared
@@ -363,15 +338,11 @@ func (ws *workerState) forwardLayerTPAssemble(epoch, l int, prevVal *tensor.Tens
 	totalV := len(sh.globalRow)
 	nOwned := len(ws.plan.owned)
 	requiresGrad := training && l > 1
-
-	lg := coll.Group(ws.id, "layer", obs.Int("layer", l))
-	defer lg.End()
 	sc.Switch(obs.StageForward, l)
 
 	hAllVal := ws.eng.tpFeatAll
 	if l > 1 {
 		sc.Switch(obs.StageDepFetchSend, l)
-		sp := coll.Span(ws.id, metrics.Comm, "tp_all_gather", obs.Int("layer", l))
 		if nOwned > 0 {
 			// One shared view for every peer, like the broadcast path.
 			block := prevVal.RowSlice(0, nOwned)
@@ -395,21 +366,15 @@ func (ws *workerState) forwardLayerTPAssemble(epoch, l int, prevVal *tensor.Tens
 		for r := 0; r < nOwned; r++ {
 			copy(hAllVal.Row(base+r), prevVal.Row(r))
 		}
-		sp.End()
 		sc.Switch(obs.StageForward, l)
 	}
 
 	hAll := tape.Leaf(hAllVal, requiresGrad, "tp_h_all")
 	zAll := hAll
 	if pt, ok := layer.(nn.PreTransformer); ok {
-		sp := coll.Span(ws.id, metrics.Compute, "pre_transform", obs.Int("layer", l))
 		zAll = pt.PreTransform(tape, hAll, training, ws.rng)
-		sp.End()
 	}
-	sp := coll.Span(ws.id, metrics.Compute, "compute_owned",
-		obs.Int("layer", l), obs.Int("rows", nOwned))
 	out := ws.runBlock(tape, layer, &tp.full, zAll, zAll, training)
-	sp.End()
 
 	// hPrev is a carrier for the lower layer's backward seed: the layer
 	// consumed hAll, not prevVal, so this leaf is off the gradient path and
@@ -426,9 +391,6 @@ func (ws *workerState) forwardLayerTPAssemble(epoch, l int, prevVal *tensor.Tens
 func (ws *workerState) backwardLayerTPAssemble(epoch, l int, runs []layerRun, sc *obs.StageClock) {
 	run := &runs[l-1]
 	sh := run.tp.plan.shared
-	coll := ws.eng.opts.Collector
-	bg := coll.Group(ws.id, "backward", obs.Int("layer", l))
-	defer bg.End()
 	sc.Switch(obs.StageBackward, l)
 	ws.tpSeedBackward(epoch, l, runs, sc)
 	if l == 1 {
@@ -443,7 +405,6 @@ func (ws *workerState) backwardLayerTPAssemble(epoch, l int, runs []layerRun, sc
 	}
 
 	sc.Switch(obs.StageMirrorScatter, l)
-	sp := coll.Span(ws.id, metrics.Comm, "tp_grad_scatter", obs.Int("layer", l))
 	for _, j := range ws.peerOrder() {
 		blo, bhi := int(sh.blockStart[j]), int(sh.blockStart[j+1])
 		if bhi == blo {
@@ -476,6 +437,5 @@ func (ws *workerState) backwardLayerTPAssemble(epoch, l int, runs []layerRun, sc
 			}
 		}
 	}
-	sp.End()
 	sc.Switch(obs.StageBackward, l)
 }

@@ -1,16 +1,17 @@
 // Package metrics collects per-worker busy-time and traffic accounting for
-// the utilisation experiments (paper §5.4, Figure 13). Engines bracket their
-// compute and communication phases with Track calls; the collector
-// post-processes the recorded intervals into time-bucketed utilisation
-// series, the same quantity the paper samples every 100 ms.
+// the utilisation experiments (paper §5.4, Figure 13): it post-processes
+// classed busy intervals into time-bucketed utilisation series, the same
+// quantity the paper samples every 100 ms.
 //
-// Since the observability rework, the collector is a thin classification
-// layer over an obs.Tracer: every tracked interval is a named span carrying
-// its Kind as the span class, and structural spans (epochs, layers — class
-// obs.ClassNone) organise those intervals into a hierarchy without
-// perturbing the utilisation series. BuildSeries and Busy only consume
-// spans whose class is a valid Kind, so adding structural or foreign-class
-// spans to the same tracer never changes Figure-13 numbers.
+// The collector is a view over an obs.Tracer: every busy interval is a span
+// carrying its Kind as the span class. The training engine does not bracket
+// its phases here; its workers' stage clocks feed the tracer through
+// StageSink, classed by the StageKind table, so the utilisation series, the
+// Chrome trace and the flight recorder's stage cells all come from one
+// instrumentation stream. Code without a stage clock (the DistDGL baseline)
+// brackets its phases with Track. BuildSeries and Busy only consume spans
+// whose class is a valid Kind, so structural or foreign-class spans on the
+// same tracer never change Figure-13 numbers.
 package metrics
 
 import (
@@ -78,8 +79,8 @@ type recvStamp struct {
 // tracked event.
 func NewCollector() *Collector { return &Collector{tr: obs.NewTracer()} }
 
-// Tracer exposes the underlying span tracer so callers can open structural
-// spans (epochs, layers) on the same timeline. Nil-safe.
+// Tracer exposes the underlying span tracer so callers can add their own
+// spans and flow arrows on the same timeline. Nil-safe.
 func (c *Collector) Tracer() *obs.Tracer {
 	if c == nil {
 		return nil
@@ -107,22 +108,39 @@ func (c *Collector) Track(w int, kind Kind) func() {
 	return sp.End
 }
 
-// Span opens a named, attributed busy interval of the given kind on worker
-// w's timeline. It counts toward the kind's utilisation exactly like Track.
-func (c *Collector) Span(w int, kind Kind, name string, attrs ...obs.Attr) *obs.Span {
-	if c == nil {
-		return nil
+// StageKind is the stage→Kind table: the utilisation Kind each
+// flight-recorder stage counts toward. Forward and backward are Compute;
+// dep_fetch_send, dep_fetch_recv, mirror_scatter and grad_sync are Comm.
+// Barrier (idle at the epoch barrier) and checkpoint (outside the epoch
+// wall) are not busy time and report ok=false.
+func StageKind(s obs.Stage) (k Kind, ok bool) {
+	switch s {
+	case obs.StageForward, obs.StageBackward:
+		return Compute, true
+	case obs.StageDepFetchSend, obs.StageDepFetchRecv, obs.StageMirrorScatter, obs.StageGradSync:
+		return Comm, true
 	}
-	return c.tr.Start(w, int(kind), name, attrs...)
+	return 0, false
 }
 
-// Group opens a structural span (an epoch, a layer) that organises busy
-// intervals in the trace without itself counting as busy time.
-func (c *Collector) Group(w int, name string, attrs ...obs.Attr) *obs.Span {
+// StageSink returns the sink that mirrors stage-clock intervals into the
+// collector's tracer as busy spans classed by StageKind; stages without a
+// kind are never emitted. It starts the collector's clock, so spans of
+// clocks opened afterwards have non-negative offsets. Nil for a nil
+// collector.
+func (c *Collector) StageSink() *obs.SpanSink {
 	if c == nil {
 		return nil
 	}
-	return c.tr.Start(w, obs.ClassNone, name, attrs...)
+	c.tr.Now()
+	sink := &obs.SpanSink{Tracer: c.tr}
+	for s := obs.Stage(0); s < obs.NumStages; s++ {
+		sink.Class[s] = obs.ClassNone
+		if k, ok := StageKind(s); ok {
+			sink.Class[s] = int(k)
+		}
+	}
+	return sink
 }
 
 // AddSent records n payload bytes leaving any worker.
@@ -209,8 +227,8 @@ func (c *Collector) BusyByWorker(kind Kind) map[int]time.Duration {
 // Series is a time-bucketed utilisation report.
 type Series struct {
 	Bucket time.Duration
-	// Util[kind][b] is the mean fraction (0..1, can exceed 1 for multi-core
-	// comm threads) of bucket b that workers spent in that kind.
+	// Util[kind][b] is the mean fraction (0..1) of bucket b that workers
+	// spent in that kind.
 	Util [][]float64
 	// NetBytesPerSec[b] is the receive rate during bucket b.
 	NetBytesPerSec []float64

@@ -182,48 +182,59 @@ func TestWriteChromeTrace(t *testing.T) {
 	}
 }
 
-func TestSpanAndGroup(t *testing.T) {
+// TestStageSinkClassesStages: the collector's stage sink turns a stage
+// clock's intervals into busy spans classed by the StageKind table, each
+// carrying its layer, and leaves out the stages that are not busy time.
+func TestStageSinkClassesStages(t *testing.T) {
+	wantKind := map[obs.Stage]Kind{
+		obs.StageForward: Compute, obs.StageBackward: Compute,
+		obs.StageDepFetchSend: Comm, obs.StageDepFetchRecv: Comm,
+		obs.StageMirrorScatter: Comm, obs.StageGradSync: Comm,
+	}
 	c := NewCollector()
-	g := c.Group(0, "epoch", obs.Int("epoch", 1))
-	sp := c.Span(0, Compute, "matmul", obs.Int("layer", 2))
-	time.Sleep(2 * time.Millisecond)
-	sp.End()
-	g.End()
-	// The structural group must not count as busy time.
-	busy := c.Busy(Compute)
-	if busy <= 0 {
-		t.Fatal("span busy time missing")
-	}
-	spans := c.Tracer().Snapshot()
-	if len(spans) != 2 {
-		t.Fatalf("spans = %d", len(spans))
-	}
-	var group, op *obs.SpanData
-	for i := range spans {
-		switch spans[i].Name {
-		case "epoch":
-			group = &spans[i]
-		case "matmul":
-			op = &spans[i]
+	sink := c.StageSink()
+	for s := obs.Stage(0); s < obs.NumStages; s++ {
+		k, ok := StageKind(s)
+		want, busy := wantKind[s]
+		if ok != busy || (ok && k != want) {
+			t.Fatalf("StageKind(%s) = %v, %v; want %v, %v", s, k, ok, want, busy)
+		}
+		if busy && sink.Class[s] != int(want) || !busy && sink.Class[s] != obs.ClassNone {
+			t.Fatalf("sink class of %s = %d", s, sink.Class[s])
 		}
 	}
-	if group == nil || op == nil {
-		t.Fatalf("missing spans: %+v", spans)
+
+	rec := obs.NewFlightRecorder()
+	rec.BeginEpoch(1, 1, 2)
+	sc := rec.Clock(0)
+	sc.SetSink(sink)
+	time.Sleep(time.Millisecond) // forward, layer 1
+	sc.Switch(obs.StageDepFetchRecv, 2)
+	time.Sleep(time.Millisecond)
+	sc.Switch(obs.StageBarrier, 0) // classed ClassNone: never a span
+	time.Sleep(time.Millisecond)
+	sc.End()
+	rec.EndEpoch(time.Second, 0)
+
+	spans := c.Tracer().Snapshot()
+	if len(spans) != 2 {
+		t.Fatalf("spans = %+v, want forward and dep_fetch_recv only", spans)
 	}
-	if group.Class != obs.ClassNone || op.Class != int(Compute) {
-		t.Fatalf("classes: group=%d op=%d", group.Class, op.Class)
+	if spans[0].Name != "forward" || spans[0].Class != int(Compute) || spans[0].Attr("layer") != 1 {
+		t.Fatalf("first span = %+v", spans[0])
 	}
-	if op.Attr("layer") != 2 {
-		t.Fatalf("op attrs = %+v", op.Attrs)
+	if spans[1].Name != "dep_fetch_recv" || spans[1].Class != int(Comm) || spans[1].Attr("layer") != 2 {
+		t.Fatalf("second span = %+v", spans[1])
 	}
-	if w := c.BusyByWorker(Compute); w[0] != busy {
-		t.Fatalf("BusyByWorker = %v, Busy = %v", w, busy)
+	if c.Busy(Compute) != spans[0].Duration() || c.Busy(Comm) != spans[1].Duration() {
+		t.Fatalf("busy %v/%v vs spans %+v", c.Busy(Compute), c.Busy(Comm), spans)
+	}
+	if w := c.BusyByWorker(Compute); w[0] != c.Busy(Compute) {
+		t.Fatalf("BusyByWorker = %v, Busy = %v", w, c.Busy(Compute))
 	}
 	// Nil collector derivatives are no-ops.
 	var nilC *Collector
-	nilC.Span(0, Compute, "x").End()
-	nilC.Group(0, "y").End()
-	if nilC.Tracer() != nil || nilC.Elapsed() != 0 || nilC.BusyByWorker(Compute) != nil {
+	if nilC.StageSink() != nil || nilC.Tracer() != nil || nilC.Elapsed() != 0 || nilC.BusyByWorker(Compute) != nil {
 		t.Fatal("nil collector leaked state")
 	}
 }

@@ -556,6 +556,52 @@ type StageClock struct {
 	last   time.Time
 	// spanID identifies the currently open interval under causal recording.
 	spanID uint64
+	// sink, when non-nil, mirrors every closed interval into a tracer.
+	sink *SpanSink
+}
+
+// SpanSink mirrors a stage clock's closed intervals into a Tracer, so the
+// clock's one bracket per worker phase also feeds span consumers (the
+// utilisation series of internal/metrics, Chrome trace export). Each
+// interval becomes one span on the clock's worker row: named by its stage,
+// carrying a "layer" attribute, classed by Class, with the clock's own
+// timestamps as Start and End — so its duration equals exactly the
+// nanoseconds the interval added to its recorder cell. Zero-length intervals
+// and stages classed ClassNone are not emitted, and time attributed outside
+// a clock (AddTime: barrier tails, checkpoint saves) never reaches a sink.
+//
+// Offsets come from Tracer.Offset, so the tracer's clock should be started
+// (Tracer.Now) before the first stage clock opens; otherwise the earliest
+// spans get negative offsets.
+type SpanSink struct {
+	// Tracer receives the spans; nil makes the sink a no-op.
+	Tracer *Tracer
+	// Class is the span class of each stage, indexed by Stage. The zero
+	// value classes every stage as 0, so set ClassNone explicitly for the
+	// stages to leave out.
+	Class [NumStages]int
+}
+
+// emit records one closed interval [from, to) of stage s at layer on
+// worker's row.
+func (k *SpanSink) emit(worker int, s Stage, layer int, from, to time.Time) {
+	if k == nil || k.Class[s] == ClassNone {
+		return
+	}
+	k.Tracer.Add(SpanData{
+		Worker: worker, Class: k.Class[s], Name: s.String(),
+		Start: k.Tracer.Offset(from), End: k.Tracer.Offset(to),
+		Attrs: []Attr{Int("layer", layer)},
+	})
+}
+
+// SetSink attaches a span sink to the clock; every interval closed from now
+// on is also recorded through it. A nil sink detaches. Nil-safe.
+func (c *StageClock) SetSink(s *SpanSink) {
+	if c == nil {
+		return
+	}
+	c.sink = s
 }
 
 // Switch charges elapsed time to the current stage and enters (s, layer).
@@ -563,10 +609,16 @@ func (c *StageClock) Switch(s Stage, layer int) {
 	if c == nil || c.acc == nil {
 		return
 	}
-	now := time.Now()
+	c.switchAt(s, layer, time.Now())
+}
+
+// switchAt is Switch with the clock read supplied: it closes the current
+// interval at now.
+func (c *StageClock) switchAt(s Stage, layer int, now time.Time) {
 	if d := now.Sub(c.last); d > 0 {
 		if cell := c.acc.cell(c.worker, c.stage, c.layer); cell != nil {
 			cell.nanos.Add(int64(d))
+			c.sink.emit(c.worker, c.stage, c.layer, c.last, now)
 		}
 	}
 	if ca := c.acc.causal; ca != nil {

@@ -192,6 +192,198 @@ func TestFlightRecorderConcurrent(t *testing.T) {
 	}
 }
 
+// testSink classes the compute stages 0 and the exchange stages 1, and
+// leaves barrier and checkpoint out — the shape internal/metrics hands in.
+func testSink(tr *Tracer) *SpanSink {
+	k := &SpanSink{Tracer: tr}
+	for s := Stage(0); s < NumStages; s++ {
+		switch s {
+		case StageForward, StageBackward:
+			k.Class[s] = 0
+		case StageBarrier, StageCheckpoint:
+			k.Class[s] = ClassNone
+		default:
+			k.Class[s] = 1
+		}
+	}
+	return k
+}
+
+// cellNanos reads one live time cell of the open epoch.
+func cellNanos(rec *FlightRecorder, worker int, s Stage, layer int) int64 {
+	return rec.cur.Load().cell(worker, s, layer).nanos.Load()
+}
+
+func TestSpanSinkNilTracerIsNoOp(t *testing.T) {
+	rec := NewFlightRecorder()
+	rec.BeginEpoch(1, 1, 2)
+	sc := rec.Clock(0)
+	sc.SetSink(&SpanSink{}) // no tracer
+	t0 := sc.last
+	sc.switchAt(StageDepFetchRecv, 1, t0.Add(time.Millisecond))
+	sc.SetSink(nil)
+	sc.switchAt(StageBackward, 1, t0.Add(2*time.Millisecond))
+	if got := cellNanos(rec, 0, StageForward, 1); got != int64(time.Millisecond) {
+		t.Fatalf("forward cell %d: a sink must not change the recorder's accounting", got)
+	}
+	var nilClock *StageClock
+	nilClock.SetSink(testSink(NewTracer())) // must not panic
+}
+
+func TestSpanSinkSkipsZeroLengthIntervals(t *testing.T) {
+	tr := NewTracer()
+	rec := NewFlightRecorder()
+	rec.BeginEpoch(1, 1, 2)
+	sc := rec.Clock(0)
+	sc.SetSink(testSink(tr))
+	t0 := sc.last
+	sc.switchAt(StageDepFetchSend, 1, t0)                     // zero-length forward
+	sc.switchAt(StageDepFetchRecv, 1, t0)                     // zero-length send
+	sc.switchAt(StageForward, 1, t0.Add(time.Millisecond))    // 1 ms recv
+	sc.switchAt(StageBackward, 2, t0.Add(time.Millisecond))   // zero-length forward
+	sc.switchAt(StageBackward, 2, t0.Add(3*time.Millisecond)) // 2 ms backward
+	spans := tr.Snapshot()
+	if len(spans) != 2 {
+		t.Fatalf("spans = %+v, want only the two non-empty intervals", spans)
+	}
+	for _, sp := range spans {
+		if sp.Duration() <= 0 {
+			t.Fatalf("empty span emitted: %+v", sp)
+		}
+	}
+}
+
+func TestSpanSinkNeverEmitsBarrierOrCheckpoint(t *testing.T) {
+	tr := NewTracer()
+	sink := testSink(tr)
+	// Even a sink that classes them gets nothing from AddTime: barrier tails
+	// and checkpoint saves are measured outside the clock.
+	sink.Class[StageBarrier], sink.Class[StageCheckpoint] = 2, 2
+	rec := NewFlightRecorder()
+	rec.BeginEpoch(1, 2, 2)
+	sc := rec.Clock(0)
+	sc.SetSink(sink)
+	t0 := sc.last
+	sc.switchAt(StageGradSync, 0, t0.Add(time.Millisecond))
+	rec.AddTime(1, StageBarrier, 0, time.Millisecond)
+	rec.AddTime(0, StageCheckpoint, 0, time.Millisecond)
+	sc.switchAt(StageBarrier, 0, t0.Add(2*time.Millisecond))
+	sc.SetSink(testSink(tr)) // barrier is ClassNone here: the interval is dropped
+	sc.switchAt(StageForward, 1, t0.Add(3*time.Millisecond))
+	for _, sp := range tr.Snapshot() {
+		if sp.Name == "barrier" || sp.Name == "checkpoint" {
+			t.Fatalf("unexpected span %+v", sp)
+		}
+	}
+	if got := len(tr.Snapshot()); got != 2 {
+		t.Fatalf("spans = %d, want forward and grad_sync", got)
+	}
+}
+
+// TestSpanSinkOffsetsMatchClock: each span's Start/End are the tracer
+// offsets of the clock's own reads, so its duration equals the nanoseconds
+// its cell received, and it carries the interval's layer.
+func TestSpanSinkOffsetsMatchClock(t *testing.T) {
+	tr := NewTracer()
+	tr.Now() // start the tracer's clock before the stage clock opens
+	rec := NewFlightRecorder()
+	rec.BeginEpoch(1, 1, 3)
+	sc := rec.Clock(0)
+	sc.SetSink(testSink(tr))
+	t0 := sc.last
+	steps := []struct {
+		next  Stage
+		layer int
+		at    time.Duration
+	}{
+		{StageDepFetchRecv, 2, 1500 * time.Microsecond},
+		{StageForward, 2, 1700 * time.Microsecond},
+		{StageMirrorScatter, 3, 4 * time.Millisecond},
+		{StageBackward, 3, 4*time.Millisecond + 3},
+	}
+	prevStage, prevLayer, prevAt := StageForward, 1, time.Duration(0)
+	for i, st := range steps {
+		sc.switchAt(st.next, st.layer, t0.Add(st.at))
+		spans := tr.Snapshot()
+		if len(spans) != i+1 {
+			t.Fatalf("after step %d: %d spans", i, len(spans))
+		}
+		sp := spans[i]
+		if sp.Name != prevStage.String() || sp.Attr("layer") != prevLayer || sp.Worker != 0 {
+			t.Fatalf("step %d: span %+v, want %s layer %d", i, sp, prevStage, prevLayer)
+		}
+		if sp.Start != tr.Offset(t0.Add(prevAt)) || sp.End != tr.Offset(t0.Add(st.at)) {
+			t.Fatalf("step %d: span [%v, %v], want [%v, %v]", i, sp.Start, sp.End,
+				tr.Offset(t0.Add(prevAt)), tr.Offset(t0.Add(st.at)))
+		}
+		if sp.Start < 0 {
+			t.Fatalf("step %d: negative offset %v", i, sp.Start)
+		}
+		prevStage, prevLayer, prevAt = st.next, st.layer, st.at
+	}
+	// Forward at layers 1 and 2 got one interval each; every span's
+	// duration is exactly its cell's nanoseconds.
+	for _, sp := range tr.Snapshot() {
+		var s Stage
+		for s = 0; s < NumStages && s.String() != sp.Name; s++ {
+		}
+		if got := cellNanos(rec, 0, s, sp.Attr("layer").(int)); got != int64(sp.Duration()) {
+			t.Fatalf("%s layer %v: span %d ns, cell %d ns", sp.Name, sp.Attr("layer"), sp.Duration(), got)
+		}
+	}
+}
+
+// TestSpanSinkConcurrentClocks is the race-detector test for the sink: one
+// clock per worker goroutine on a shared tracer, and every worker's spans
+// land on its own row and sum to its own classed cells.
+func TestSpanSinkConcurrentClocks(t *testing.T) {
+	tr := NewTracer()
+	tr.Now()
+	sink := testSink(tr)
+	rec := NewFlightRecorder()
+	const workers = 4
+	rec.BeginEpoch(1, workers, 2)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			sc := rec.Clock(w)
+			sc.SetSink(sink)
+			for i := 0; i < 200; i++ {
+				sc.Switch(StageDepFetchRecv, 1+i%2)
+				sc.Switch(StageForward, 1+i%2)
+				sc.Switch(StageBarrier, 0)
+			}
+			sc.End()
+		}(w)
+	}
+	wg.Wait()
+	a := rec.cur.Load()
+	got := make([]int64, workers)
+	for _, sp := range tr.Snapshot() {
+		if sp.Worker < 0 || sp.Worker >= workers {
+			t.Fatalf("span on unknown row: %+v", sp)
+		}
+		got[sp.Worker] += int64(sp.Duration())
+	}
+	for w := 0; w < workers; w++ {
+		var want int64
+		for s := Stage(0); s < NumStages; s++ {
+			if sink.Class[s] == ClassNone {
+				continue
+			}
+			for l := 0; l <= a.layers; l++ {
+				want += a.cell(w, s, l).nanos.Load()
+			}
+		}
+		if got[w] != want {
+			t.Fatalf("worker %d: spans sum to %d ns, classed cells to %d ns", w, got[w], want)
+		}
+	}
+	rec.EndEpoch(time.Millisecond, 0)
+}
+
 func TestHistogramQuantile(t *testing.T) {
 	var nilH *Histogram
 	if got := nilH.Quantile(0.5); got != 0 {

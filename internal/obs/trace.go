@@ -1,10 +1,10 @@
 // Package obs is NeutronStar-Go's stdlib-only observability substrate. It
 // has three parts:
 //
-//   - a hierarchical span tracer (this file): named, nested, attributed
-//     spans per worker, exported in Chrome trace-event format so a training
-//     run's epoch → layer → operator structure can be inspected in
-//     chrome://tracing or Perfetto;
+//   - a span tracer (this file): named, attributed spans per worker row,
+//     exported in Chrome trace-event format for chrome://tracing or
+//     Perfetto. A training run's spans are its workers' stage-clock
+//     intervals (SpanSink in stage.go), one per phase and layer;
 //   - a metric registry (registry.go): counters, gauges and fixed-bucket
 //     histograms with label support, exposed in Prometheus text exposition
 //     format;
@@ -18,9 +18,9 @@
 //     firing structured alerts and a health report.
 //
 // The flat busy-interval accounting of internal/metrics is built on top of
-// the tracer: each tracked interval is a span carrying a class (the
-// metrics.Kind), and structural spans (class ClassNone) organise those
-// intervals into a hierarchy without perturbing utilisation series.
+// the tracer: each busy interval is a span carrying a class (the
+// metrics.Kind), and spans of class ClassNone (benchmark probes, request
+// stages) share the timeline without perturbing utilisation series.
 //
 // Every entry point is nil-safe: a nil *Tracer or *Span makes every method
 // a no-op, so instrumentation stays in place unconditionally.
@@ -52,8 +52,9 @@ func Int64(key string, v int64) Attr { return Attr{Key: key, Value: v} }
 // Float builds a float attribute.
 func Float(key string, v float64) Attr { return Attr{Key: key, Value: v} }
 
-// ClassNone marks a structural span — one that groups other spans (an epoch,
-// a layer) and must not be counted as busy time by class-filtered consumers.
+// ClassNone marks a structural span — one that groups other spans or marks a
+// non-busy interval (a benchmark probe, an epoch call) and must not be
+// counted as busy time by class-filtered consumers.
 const ClassNone = -1
 
 // SpanData is one finished span. Start/End are offsets from the tracer's

@@ -509,7 +509,11 @@ type Status struct {
 	BytesSent     int64 `json:"bytes_sent"`
 	BytesReceived int64 `json:"bytes_received"`
 	// ComputeBusy / CommBusy are per-worker busy fractions of the elapsed
-	// run time (the live view of the paper's Figure 13 utilisation curves).
+	// run time (the live view of the paper's Figure 13 utilisation curves),
+	// read from the stage clock: compute is time in the forward and backward
+	// stages, comm time in the dependency-exchange and gradient-sync stages
+	// (metrics.StageKind). Barrier idling and time between epochs count as
+	// neither, so the two sum to at most 1 per worker.
 	ComputeBusy map[int]float64 `json:"compute_busy,omitempty"`
 	CommBusy    map[int]float64 `json:"comm_busy,omitempty"`
 }

@@ -12,9 +12,9 @@
 //
 // Usage (mirrors the CI step):
 //
-//	go run ./tools/doclint -symbols internal/tensor \
+//	go run ./tools/doclint -symbols internal/tensor,internal/metrics,internal/obs \
 //	    -docs README.md,DESIGN.md,EXPERIMENTS.md,POLICIES.md \
-//	    internal/tensor internal/bench internal/testkit internal/obs
+//	    internal/tensor internal/bench internal/testkit internal/obs internal/metrics
 //
 // Exit status: 0 when clean, 1 on missing docs or doc-to-code drift, 2 on
 // usage or parse errors.
